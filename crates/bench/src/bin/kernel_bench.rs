@@ -254,6 +254,31 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         |ben| ben.iter(|| black_box(black_box(&a).matmul_naive(&b))),
     );
 
+    // 1b. The other product shapes the serve towers run: the output
+    //     layer's matvec over post-ReLU hidden rows (about half exact
+    //     zeros), γ attention's first layer over a 4-member group, and
+    //     the group tower's single-row first layer.
+    let sparse_rows = if p.smoke { 32 } else { 256 };
+    let hidden = mat(sparse_rows, 32, 0.53).map(ops::relu);
+    let (members, feat, width) = if p.smoke { (4, 24, 8) } else { (4, 96, 32) };
+    let matmul_shapes = [
+        ("matmul_matvec_relu", hidden, mat(32, 1, 0.61)),
+        ("matmul_gamma_layer1", mat(members, feat, 0.67), mat(feat, width, 0.71)),
+        ("matmul_group_tower_row", mat(1, feat, 0.73), mat(feat, width, 0.79)),
+    ];
+    for (kernel, a, b) in &matmul_shapes {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        record_gated(
+            &mut c,
+            &mut out,
+            kernel,
+            format!("{m}x{k}*{k}x{n}"),
+            (m * k * n) as f64,
+            |ben| ben.iter(|| black_box(black_box(a).matmul(b))),
+            |ben| ben.iter(|| black_box(black_box(a).matmul_naive(b))),
+        );
+    }
+
     // 2. Register-blocked A·Bᵀ at the attention-scores shape
     //    (l×d · (l×d)ᵀ) vs the dot-per-element naive kernel.
     let (l, d) = if p.smoke { (16, 8) } else { (64, 32) };

@@ -298,6 +298,20 @@ impl ParamStore {
         }
     }
 
+    /// Frees every parameter's gradient and Adam moments, keeping its
+    /// value: a model that will only run inference (a frozen serving
+    /// model) then holds one matrix per parameter instead of four.
+    /// Accumulating a gradient afterwards panics on the shape mismatch.
+    pub fn release_training_state(&mut self) {
+        for p in &mut self.params {
+            p.grad = Matrix::zeros(0, 0);
+            p.m = Matrix::zeros(0, 0);
+            p.v = Matrix::zeros(0, 0);
+            p.step = 0;
+            p.dirty = Dirty::Clean;
+        }
+    }
+
     /// Scales all gradients so their global norm does not exceed
     /// `max_norm`. Returns the pre-clip norm.
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
@@ -315,6 +329,28 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn release_training_state_keeps_values_and_frees_the_rest() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 4.0]));
+        let t = store.add("t", Matrix::ones(3, 2));
+        store.get_mut(w).grad.fill(3.0);
+        store.get_mut(w).mark_full();
+        store.get_mut(t).m.fill(0.25);
+        store.get_mut(t).v.fill(0.5);
+        store.get_mut(t).step = 7;
+        let values = store.snapshot_values();
+
+        store.release_training_state();
+
+        assert_eq!(store.snapshot_values(), values);
+        for p in store.iter() {
+            assert!(p.grad.is_empty() && p.m.is_empty() && p.v.is_empty(), "{} kept training state", p.name());
+            assert_eq!(p.step, 0);
+            assert!(!p.has_grad());
+        }
+    }
 
     #[test]
     fn add_and_lookup() {

@@ -68,13 +68,15 @@ pub struct FrozenModel {
 
 impl FrozenModel {
     /// Snapshots `model` against `ctx`, precomputing every user latent
-    /// and every group's member representations.
+    /// and every group's member representations. The model's gradients
+    /// and optimizer moments are released: a serving model never trains.
     ///
     /// # Panics
     /// If the model's embedding tables don't cover the context's
     /// universe.
-    pub fn freeze(model: GroupSa, ctx: DataContext) -> Self {
+    pub fn freeze(mut model: GroupSa, ctx: DataContext) -> Self {
         assert_eq!(model.num_users(), ctx.num_users, "model/context user universe mismatch");
+        model.store_mut().release_training_state();
         assert_eq!(model.num_items(), ctx.num_items, "model/context item universe mismatch");
         let (user_latents, group_reps) = Self::precompute(&model, &ctx);
         let dim = model.user_embedding_table().cols();
@@ -201,9 +203,10 @@ impl FrozenModel {
     }
 
     /// Replaces the model (e.g. after a checkpoint reload) and rebuilds
-    /// every cache. Rejects models trained for a different universe so
-    /// cached id spaces can never dangle.
-    pub fn rebuild(&mut self, model: GroupSa) -> Result<(), String> {
+    /// every cache, releasing the new model's training state as
+    /// [`FrozenModel::freeze`] does. Rejects models trained for a
+    /// different universe so cached id spaces can never dangle.
+    pub fn rebuild(&mut self, mut model: GroupSa) -> Result<(), String> {
         if !self.rebuildable {
             return Err(
                 "snapshot-backed frozen model cannot rebuild: its context lacks the training-side \
@@ -220,6 +223,7 @@ impl FrozenModel {
                 self.ctx.num_items
             ));
         }
+        model.store_mut().release_training_state();
         let (user_latents, group_reps) = Self::precompute(&model, &self.ctx);
         let dim = model.user_embedding_table().cols();
         self.model = Arc::new(model);

@@ -1,16 +1,17 @@
 //! Bit-identity pins for the vectorization-friendly kernel rewrites.
 //!
-//! The blocked [`Matrix::matmul`] and register-blocked
+//! The tiled [`Matrix::matmul`] and register-blocked
 //! [`Matrix::matmul_transpose_b`] promise results *bit-identical* to
 //! their retained naive references (`matmul_naive`,
 //! `matmul_transpose_b_naive`) — not merely close. That promise is
 //! what lets the serve/digest determinism contract survive kernel
 //! rewrites, so it is pinned here across:
 //!
-//! * odd and prime dimensions (0, 1, 2, 3, 5, 7, 13, 17, 31, 33) that
-//!   exercise every remainder lane of the 4-wide blocking;
-//! * planted exact zeros (including quads with *some* zeros, which
-//!   force the fused fast path to fall back without changing results);
+//! * odd and prime dimensions (0, 1, 2, 3, 5, 7, 13, 17, 31, 33), and
+//!   column counts crossing every output-tile boundary of `matmul`
+//!   (32-wide, 8-wide and single-column tiles; the `n == 1` matvec);
+//! * planted exact zeros of either sign, ReLU-sparse and all-zero rows
+//!   (whose result must be `+0.0`, sign included);
 //! * non-finite values (`±inf`, `NaN`) in positions the sparsity skip
 //!   must and must not touch.
 
@@ -177,4 +178,100 @@ fn blocked_kernels_agree_with_explicit_transpose_composition() {
         &a.matmul(&b.transpose()),
         "A·Bᵀ vs A·(Bᵀ)",
     );
+}
+
+/// Column counts that cross every output-tile boundary of the tiled
+/// `matmul` (32-wide, then 8-wide, then single columns).
+const TILE_NS: &[usize] = &[8, 31, 32, 33, 40, 64, 65];
+
+#[test]
+fn tiled_matmul_matches_naive_across_tile_boundaries() {
+    for &n in TILE_NS {
+        for &m in &[1usize, 2, 4, 9] {
+            for &k in &[1usize, 7, 32, 96] {
+                let a = filled(m, k, (m * 7 + k * 13 + n) as u64);
+                let b = filled(k, n, (m + k + n * 29) as u64 + 77);
+                assert_bits_equal(&a.matmul(&b), &a.matmul_naive(&b), &format!("matmul {m}x{k}·{k}x{n}"));
+            }
+        }
+    }
+}
+
+/// Post-ReLU activations: every row at least half exact `+0.0`, and
+/// every third row entirely zero.
+fn relu_sparse(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let dense = filled(rows, cols, seed);
+    Matrix::from_fn(rows, cols, |r, c| if r % 3 == 2 || c % 2 == 0 { 0.0 } else { dense[(r, c)].max(0.0) })
+}
+
+#[test]
+fn relu_sparse_rows_match_naive_and_zero_rows_stay_positive_zero() {
+    for &n in [1usize].iter().chain(TILE_NS) {
+        for &(m, k) in &[(1usize, 32usize), (7, 32), (8, 32), (17, 33), (256, 32)] {
+            let a = relu_sparse(m, k, (m * 3 + k + n) as u64);
+            let b = filled(k, n, (m + k * 11 + n) as u64 + 5);
+            let fast = a.matmul(&b);
+            assert_bits_equal(&fast, &a.matmul_naive(&b), &format!("relu-sparse matmul {m}x{k}·{k}x{n}"));
+            for r in (2..m).step_by(3) {
+                for x in fast.row(r) {
+                    assert_eq!(x.to_bits(), 0.0f32.to_bits(), "all-zero row {r} of {m}x{k}·{k}x{n} gave {x:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn negative_zero_coefficients_match_naive_in_matvec_and_tiles() {
+    for &n in [1usize].iter().chain(TILE_NS) {
+        let mut a = filled(11, 19, n as u64);
+        for (i, x) in a.as_mut_slice().iter_mut().enumerate() {
+            if i % 4 == 1 {
+                *x = -0.0;
+            }
+        }
+        // A whole row of -0.0 must still produce +0.0 results.
+        a.row_mut(5).fill(-0.0);
+        let b = filled(19, n, n as u64 + 31);
+        let fast = a.matmul(&b);
+        assert_bits_equal(&fast, &a.matmul_naive(&b), &format!("-0.0 coefficients, n={n}"));
+        assert!(fast.row(5).iter().all(|x| x.to_bits() == 0.0f32.to_bits()), "-0.0 row, n={n}");
+    }
+}
+
+#[test]
+fn matvec_zero_coefficients_keep_nonfinite_b_out() {
+    // Column `zero_col` of A is zero in every row (mixed signs) while
+    // b[zero_col] is ±inf or NaN: the select must discard those
+    // products exactly as the naive skip never forms them. Rows with a
+    // non-zero coefficient facing a poisoned b elsewhere still
+    // propagate it.
+    for &m in &[1usize, 3, 8, 13, 16] {
+        for &k in &[5usize, 8, 17] {
+            for (pi, poison) in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN].into_iter().enumerate() {
+                let zero_col = (m + k + pi) % k;
+                let mut a = filled(m, k, (m * k + pi) as u64);
+                for r in 0..m {
+                    a[(r, zero_col)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let mut b = filled(k, 1, (m + k + pi) as u64 + 3);
+                b[(zero_col, 0)] = poison;
+                let naive = a.matmul_naive(&b);
+                assert!(naive.is_finite(), "skip keeps b[{zero_col}] out ({m}x{k})");
+                assert_bits_equal(&a.matmul(&b), &naive, &format!("poisoned matvec {m}x{k} ({poison:?})"));
+
+                // A live coefficient on a poisoned entry of b.
+                let live_col = (zero_col + 1) % k;
+                if live_col != zero_col {
+                    b[(live_col, 0)] = poison;
+                    a[(0, live_col)] = 1.5;
+                    assert_bits_equal(
+                        &a.matmul(&b),
+                        &a.matmul_naive(&b),
+                        &format!("poisoned matvec with live coefficient {m}x{k} ({poison:?})"),
+                    );
+                }
+            }
+        }
+    }
 }

@@ -86,7 +86,8 @@ echo "tier1: parallel-training digest matches serial"
 # shut down, and require a clean exit from every process.
 serve_log="$(mktemp)"
 snap_dir="$(mktemp -d)/snap"
-trap 'rm -f "$serve_log"; rm -rf "$(dirname "$snap_dir")"' EXIT
+trace_dir="$(mktemp -d)"
+trap 'rm -f "$serve_log"; rm -rf "$(dirname "$snap_dir")" "$trace_dir"' EXIT
 ./target/release/groupsa-serve --dataset tiny --port 0 --workers 2 \
     --obs-sample 1/1 --snapshot-export "$snap_dir" >"$serve_log" 2>/dev/null &
 serve_pid=$!
@@ -117,8 +118,6 @@ echo "tier1: serve smoke test passed (roundtrip, pipelined, metrics page, obs_to
 # byte-identical to the untraced runs above (tracing must not perturb
 # training; wall-clock fields are zeroed in the digest for exactly
 # this comparison).
-trace_dir="$(mktemp -d)"
-trap 'rm -f "$serve_log"; rm -rf "$trace_dir"' EXIT
 digest_traced="$(GROUPSA_TRAIN_THREADS=4 GROUPSA_TRACE="$trace_dir/train_trace.jsonl" \
     ./target/release/train_bench --digest 2>/dev/null)"
 if [ "$digest1" != "$digest_traced" ]; then
