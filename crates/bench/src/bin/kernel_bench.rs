@@ -1,7 +1,7 @@
 //! Hot-path kernel microbenchmarks and the perf-regression gate.
 //!
 //! Measures the workspace's serving/training hot kernels through the
-//! in-tree criterion harness ([`criterion::Criterion::bench_stats`])
+//! wall-clock harness ([`groupsa_bench::harness::Harness::bench_stats`])
 //! and persists machine-readable results:
 //!
 //! * **Full run** (default): serve-realistic shapes, written to
@@ -16,19 +16,28 @@
 //!
 //! Kernels with a retained naive reference (`matmul` vs
 //! `matmul_naive`, bounded-heap `top_k` vs sort-and-truncate, the
-//! fused serve scan vs score-all-then-select, …) are marked `gated`
-//! and record their `speedup_vs_naive`; the bit-identity of each
-//! fast/naive pair is pinned separately by the kernel-equivalence
+//! fused serve scan vs score-all-then-select, frozen group scoring vs
+//! the training-graph path, …) are marked `gated` and record their
+//! `speedup_vs_naive`; the bit-identity of each fast/naive pair is
+//! pinned separately by the kernel-equivalence and frozen-vs-graph
 //! tests, so this binary only has to measure.
+//!
+//! The rows also time the paper's §II-F trade-off (full voting vs fast
+//! score aggregation for one group over the catalog) and the graph
+//! substrate the data context is built from (PageRank, TF-IDF Top-H
+//! items).
 //!
 //! `ns_per_op` is the **minimum** observed sample — the least-noisy
 //! estimator of a kernel's true cost and the number the gate compares.
 //! `throughput_m_per_s` is `work_per_op` units (multiply-adds for
 //! matmuls, elements for the rest) per microsecond of that minimum.
 
-use criterion::{black_box, BatchSize, Bencher, Criterion};
-use groupsa_core::{top_k, DataContext, GroupMode, GroupSa, GroupSaConfig, Recommendation};
+use groupsa_bench::harness::{Bencher, Harness};
+use groupsa_core::{
+    top_k, DataContext, GroupMode, GroupSa, GroupSaConfig, Recommendation, ScoreAggregation,
+};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
+use groupsa_graph::{centrality, tfidf};
 use groupsa_json::impl_json_struct;
 use groupsa_nn::attention::social_bias_mask;
 use groupsa_nn::loss::bpr_one_vs_rest;
@@ -38,6 +47,7 @@ use groupsa_serve::FrozenModel;
 use groupsa_tensor::rng::seeded;
 use groupsa_tensor::{ops, Graph, Matrix};
 use std::cmp::Ordering;
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -123,11 +133,12 @@ impl Profile {
         }
     }
 
-    fn criterion(&self) -> Criterion {
-        Criterion::default()
-            .sample_size(self.sample_size)
-            .measurement_time(self.measurement)
-            .warm_up_time(self.warm_up)
+    fn harness(&self) -> Harness {
+        Harness {
+            sample_size: self.sample_size,
+            measurement_time: self.measurement,
+            warm_up_time: self.warm_up,
+        }
     }
 }
 
@@ -139,7 +150,7 @@ fn mat(rows: usize, cols: usize, phase: f32) -> Matrix {
 }
 
 fn record(
-    c: &mut Criterion,
+    c: &Harness,
     out: &mut Vec<KernelRecord>,
     kernel: &str,
     shape: String,
@@ -162,7 +173,7 @@ fn record(
 /// Measures a kernel *and* its retained naive reference, recording the
 /// speedup of the restructured implementation.
 fn record_gated(
-    c: &mut Criterion,
+    c: &Harness,
     out: &mut Vec<KernelRecord>,
     kernel: &str,
     shape: String,
@@ -236,7 +247,7 @@ fn frozen_world(p: Profile) -> FrozenModel {
 // ------------------------------------------------------------ kernels
 
 fn measure(p: Profile) -> Vec<KernelRecord> {
-    let mut c = p.criterion();
+    let c = p.harness();
     let mut out = Vec::new();
 
     // 1. Blocked matmul at the serve prediction-tower shape
@@ -245,7 +256,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     let a = mat(m, k, 0.13);
     let b = mat(k, n, 0.29);
     record_gated(
-        &mut c,
+        &c,
         &mut out,
         "matmul",
         format!("{m}x{k}*{k}x{n}"),
@@ -269,7 +280,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     for (kernel, a, b) in &matmul_shapes {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         record_gated(
-            &mut c,
+            &c,
             &mut out,
             kernel,
             format!("{m}x{k}*{k}x{n}"),
@@ -285,7 +296,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     let qa = mat(l, d, 0.17);
     let kb = mat(l, d, 0.31);
     record_gated(
-        &mut c,
+        &c,
         &mut out,
         "matmul_transpose_b",
         format!("{l}x{d}*({l}x{d})T"),
@@ -298,7 +309,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     let (sr, sc) = if p.smoke { (16, 16) } else { (64, 64) };
     let soft_base = mat(sr, sc, 0.37);
     record_gated(
-        &mut c,
+        &c,
         &mut out,
         "softmax_rows_inplace",
         format!("{sr}x{sc}"),
@@ -310,7 +321,6 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
                     ops::softmax_rows_inplace(&mut m);
                     m
                 },
-                BatchSize::SmallInput,
             )
         },
         |ben| ben.iter(|| black_box(ops::softmax_rows(black_box(&soft_base)))),
@@ -328,7 +338,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         .collect();
     let mask = social_bias_mask(&allowed);
     record(
-        &mut c,
+        &c,
         &mut out,
         "attention_forward_inference",
         format!("l={gl},d={gd}"),
@@ -343,7 +353,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     let w1 = mat(feat, hid, 0.23);
     let w2 = mat(hid, 1, 0.43);
     record(
-        &mut c,
+        &c,
         &mut out,
         "bpr_forward_backward",
         format!("{rows}x{feat}->{hid}->1"),
@@ -373,7 +383,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     // 6. Frozen single-user scoring over the full catalog (the serve
     //    hot loop's unit of work).
     record(
-        &mut c,
+        &c,
         &mut out,
         "frozen_user_scoring",
         format!("1x{num_items}"),
@@ -386,7 +396,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     // 7. Fused score+select catalog scan vs the retained
     //    score-everything-then-top-k composition.
     record_gated(
-        &mut c,
+        &c,
         &mut out,
         "fused_recommend_scan",
         format!("user,catalog={num_items},k=10"),
@@ -415,7 +425,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         users.iter().map(|&u| model.user_latent_frozen(frozen.context(), u)).collect();
     let latent_refs: Vec<Option<&Matrix>> = latents.iter().map(|h| h.as_ref()).collect();
     record_gated(
-        &mut c,
+        &c,
         &mut out,
         "batched_user_scoring",
         format!("{}users x {}items", users.len(), chunk.len()),
@@ -441,14 +451,77 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         .map(|i| Recommendation { item: i, score: ((i * 37 + 11) % 101) as f32 * 0.1 })
         .collect();
     record_gated(
-        &mut c,
+        &c,
         &mut out,
         "top_k",
         format!("n={tk_n},k=10"),
         tk_n as f64,
-        |ben| ben.iter_batched(|| scored.clone(), |v| black_box(top_k(v, 10)), BatchSize::SmallInput),
+        |ben| ben.iter_batched(|| scored.clone(), |v| black_box(top_k(v, 10))),
+        |ben| ben.iter_batched(|| scored.clone(), |v| black_box(top_k_naive(v, 10))),
+    );
+
+    // 10. §II-F, full voting path: frozen group scoring over the
+    //     catalog from the cached post-voting member reps (what a
+    //     served request runs) vs the training-graph path, which
+    //     rebuilds the voting stack per call. The largest group makes
+    //     the voting cost most visible.
+    let ctx = frozen.context();
+    let group = (0..ctx.num_groups())
+        .max_by_key(|&g| ctx.members[g].len())
+        .expect("the bench world has groups");
+    let l = ctx.members[group].len();
+    let reps = model.member_reps_frozen(ctx, group, &[]);
+    record_gated(
+        &c,
+        &mut out,
+        "frozen_group_scoring",
+        format!("l={l},catalog={num_items}"),
+        num_items as f64,
+        |ben| ben.iter(|| black_box(model.score_group_items_frozen(&reps, black_box(&all_items)))),
+        |ben| ben.iter(|| black_box(model.score_group_items(ctx, group, black_box(&all_items)))),
+    );
+
+    // 11. §II-F, fast path: the same group served by averaging its
+    //     members' user-task scores instead of voting.
+    record(
+        &c,
+        &mut out,
+        "frozen_group_fast",
+        format!("l={l},catalog={num_items},k=10"),
+        num_items as f64,
         |ben| {
-            ben.iter_batched(|| scored.clone(), |v| black_box(top_k_naive(v, 10)), BatchSize::SmallInput)
+            ben.iter(|| {
+                let mode = GroupMode::Fast(ScoreAggregation::Average);
+                black_box(frozen.recommend(Target::Group { id: group }, 10, false, mode))
+            })
+        },
+    );
+
+    // 12. Graph substrate: PageRank over the social graph.
+    let social = &ctx.social_graph;
+    record(
+        &c,
+        &mut out,
+        "pagerank",
+        format!("users={},edges={}", social.num_nodes(), social.num_edges()),
+        social.num_edges() as f64,
+        |ben| ben.iter(|| black_box(centrality::pagerank(black_box(social), 0.85, 1e-8, 100))),
+    );
+
+    // 13. Graph substrate: every user's TF-IDF Top-H items (H = 5).
+    let num_users = ctx.num_users;
+    record(
+        &c,
+        &mut out,
+        "tfidf_top_items",
+        format!("users={num_users},h=5"),
+        num_users as f64,
+        |ben| {
+            ben.iter(|| {
+                for u in 0..num_users {
+                    black_box(tfidf::top_items(&ctx.user_item_graph, u, 5));
+                }
+            })
         },
     );
 

@@ -1,37 +1,7 @@
 //! Load generator for the `groupsa-serve` subsystem.
 //!
-//! Five modes:
+//! Two modes, picked by the flag that names the target:
 //!
-//! * **In-process sweep** (default): freezes a tiny model, runs the
-//!   engine at 1/2/4 workers under concurrent client threads, and
-//!   writes throughput + exact client-side latency percentiles to
-//!   `results/serve_bench.json`.
-//! * **Overload sweep** (`--overload true`): saturates a 1-worker
-//!   engine over a heavy group-voting world with a client sweep far
-//!   past capacity, classifying every answer client-side (ok / shed /
-//!   expired / queue-rejected / error) and recording how fast shed
-//!   answers come back relative to the deadline they pre-empted.
-//!   Gates on the conservation law `submitted == completed + errors +
-//!   expired + shed` at every step and on shed answers being far
-//!   under the deadline; writes `results/serve_bench_overload.json`.
-//! * **Snapshot scale** (`--users N`): streams an `N`-user synthetic
-//!   universe straight into a sharded binary snapshot (never holding
-//!   the universe in memory), opens it lazily through
-//!   `FrozenModel::from_snapshot` with a stub context, serves a mixed
-//!   workload from it, and writes write/open timings, resident table
-//!   bytes, disk bytes and peak RSS to
-//!   `results/serve_bench_snapshot.json`. `--memory-budget-mb` turns
-//!   the million-scale memory claim into a hard gate: the bench exits
-//!   nonzero if peak RSS exceeds the budget.
-//! * **Telemetry sweep** (`--telemetry true`): boots a real TCP server
-//!   in-process and drives the pipelined wire path at sampling off,
-//!   `1/64`, and `1/1` (injected via `EngineConfig`, not the
-//!   environment), measuring what request-lifecycle telemetry costs.
-//!   Each sampled run also fetches the `MetricsDump` page and
-//!   schema-validates it (parses, declares every contract metric,
-//!   agrees with the sampling rate). Writes per-mode throughput,
-//!   latency percentiles, ring counters, and overhead relative to the
-//!   telemetry-off baseline to `results/serve_bench_telemetry.json`.
 //! * **TCP** (`--addr HOST:PORT`): drives a running `groupsa-serve`
 //!   over NDJSON, validating every response (echoed id, ≤ k items,
 //!   descending scores). Learns the id universe from a `Stats`
@@ -45,45 +15,46 @@
 //!   any malformed response. `--metrics true` additionally fetches a
 //!   `MetricsDump` after the bench and fails unless the page parses
 //!   and declares every contract metric.
+//! * **Snapshot scale** (`--users N`): streams an `N`-user synthetic
+//!   universe straight into a sharded binary snapshot (never holding
+//!   the universe in memory), opens it lazily through
+//!   `FrozenModel::from_snapshot` with a stub context, serves a mixed
+//!   workload from it, and writes write/open timings, resident table
+//!   bytes, disk bytes and peak RSS to
+//!   `results/serve_bench_snapshot.json`. `--memory-budget-mb` turns
+//!   the million-scale memory claim into a hard gate: the bench exits
+//!   nonzero if peak RSS exceeds the budget.
 //!
 //! ```text
-//! serve_bench [--clients N] [--requests N] [--k N] [--save true|false]
-//!             [--addr HOST:PORT] [--shutdown true|false]
-//!             [--pipeline true|false] [--reload DIR]
-//!             [--metrics true|false] [--telemetry true|false]
-//!             [--overload true|false] [--deadline-ms N]
-//!             [--users N] [--items N] [--groups N] [--snapshot DIR]
+//! serve_bench --addr HOST:PORT [--clients N] [--requests N] [--k N]
+//!             [--pipeline true|false] [--metrics true|false]
+//!             [--reload DIR] [--shutdown true|false]
+//! serve_bench --users N [--items N] [--groups N] [--snapshot DIR]
 //!             [--shards N] [--quant f32|f16|i8] [--chunk N]
-//!             [--memory-budget-mb N]
+//!             [--clients N] [--requests N] [--k N]
+//!             [--memory-budget-mb N] [--save true|false]
 //! ```
-//! `--requests` is the per-client request count. `--save false` skips
-//! writing results JSON (used by CI smoke runs that must not clobber
-//! committed results).
+//! `--requests` is the per-client request count; it, `--clients` and
+//! the universe sizes must be positive. A flag the chosen mode does
+//! not know is a usage error. `--save false` skips writing the results
+//! JSON.
 //!
-//! Every report carries a `schema_version` (like `BENCH_kernels.json`)
-//! and an existing results file is schema-validated before it is
-//! overwritten.
-//!
-//! The in-process sweep defaults `GROUPSA_TRACE` to
-//! `results/serve_bench_trace.jsonl` so every sweep leaves a
-//! machine-readable request/batch trace behind; set the variable
-//! yourself (or run the TCP mode, which never defaults it) to override.
+//! The snapshot report carries a `schema_version` (like
+//! `BENCH_kernels.json`), and an existing results file is
+//! schema-validated before it is overwritten.
 
 use groupsa_bench::output::RESULT_SCHEMA_VERSION;
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
-use groupsa_data::synthetic::{generate, SyntheticConfig};
 use groupsa_data::StreamConfig;
 use groupsa_json::impl_json_struct;
-use groupsa_obs::TelemetryConfig;
 use groupsa_serve::engine::{Engine, EngineConfig};
 use groupsa_serve::metrics::EXPOSITION_METRICS;
 use groupsa_serve::protocol::{RecommendRequest, Request, Response, ServeMode, Target};
-use groupsa_serve::server::{self, ServerConfig};
 use groupsa_serve::FrozenModel;
 use groupsa_snapshot::{Quant, SnapshotMeta, SnapshotWriter};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -91,15 +62,61 @@ use std::time::Instant;
 
 // ---------------------------------------------------------------- CLI
 
-fn parse_flags() -> Result<HashMap<String, String>, String> {
+const USAGE: &str = "usage: serve_bench --addr HOST:PORT [--clients N] [--requests N] [--k N] \
+[--pipeline true|false] [--metrics true|false] [--reload DIR] [--shutdown true|false]
+       serve_bench --users N [--items N] [--groups N] [--snapshot DIR] [--shards N] \
+[--quant f32|f16|i8] [--chunk N] [--clients N] [--requests N] [--k N] [--memory-budget-mb N] \
+[--save true|false]";
+
+/// The flags each mode understands; the mode is named by its first entry.
+const TCP_FLAGS: &[&str] = &["addr", "clients", "requests", "k", "pipeline", "metrics", "reload", "shutdown"];
+const SNAPSHOT_FLAGS: &[&str] = &[
+    "users",
+    "items",
+    "groups",
+    "snapshot",
+    "shards",
+    "quant",
+    "chunk",
+    "clients",
+    "requests",
+    "k",
+    "memory-budget-mb",
+    "save",
+];
+
+/// Counts that must be positive when given: zero clients or requests
+/// would leave nothing to measure, a zero universe nothing to serve.
+const POSITIVE_FLAGS: &[&str] = &["clients", "requests", "users", "items", "groups", "chunk"];
+
+/// Parses `--key value` pairs and checks them against the mode that
+/// `--addr` or `--users` selects.
+fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(key) = args.next() {
         let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{key}` (flags are --key value)"));
+            return Err(format!("unexpected argument `{key}` (flags are --key value)\n{USAGE}"));
         };
         let value = args.next().ok_or_else(|| format!("--{name} needs a value"))?;
         flags.insert(name.to_string(), value);
+    }
+    let known = if flags.contains_key("addr") {
+        TCP_FLAGS
+    } else if flags.contains_key("users") {
+        SNAPSHOT_FLAGS
+    } else {
+        return Err(format!("pick a mode with --addr or --users\n{USAGE}"));
+    };
+    let mut names: Vec<&String> = flags.keys().collect();
+    names.sort();
+    if let Some(name) = names.into_iter().find(|name| !known.contains(&name.as_str())) {
+        return Err(format!("unknown flag --{name} for the --{} mode\n{USAGE}", known[0]));
+    }
+    for key in POSITIVE_FLAGS {
+        if num(&flags, key, 1usize)? == 0 {
+            return Err(format!("--{key} must be positive"));
+        }
     }
     Ok(flags)
 }
@@ -194,19 +211,6 @@ impl_json_struct!(RunResult {
     mean_us,
 });
 
-#[derive(Clone, Debug)]
-struct BenchReport {
-    schema_version: u64,
-    dataset: String,
-    num_users: usize,
-    num_items: usize,
-    num_groups: usize,
-    k: usize,
-    runs: Vec<RunResult>,
-}
-
-impl_json_struct!(BenchReport { schema_version, dataset, num_users, num_items, num_groups, k, runs });
-
 /// The snapshot-scale report (`results/serve_bench_snapshot.json`):
 /// how long the streamed write and the lazy open took, how many bytes
 /// stay resident versus live on disk, and what the engine sustained
@@ -258,659 +262,19 @@ impl_json_struct!(SnapshotReport {
     runs,
 });
 
-/// Exact percentiles from raw per-request latencies (µs).
-fn exact_percentiles(latencies: &mut [u64]) -> (u64, u64, u64, f64) {
+/// Exact percentiles from raw per-request latencies (µs): p50, p95,
+/// p99 and the mean.
+fn exact_percentiles(latencies: &mut [u64]) -> Result<(u64, u64, u64, f64), String> {
+    if latencies.is_empty() {
+        return Err("no requests completed, so there are no latencies to summarise".into());
+    }
     latencies.sort_unstable();
     let pick = |q: f64| {
         let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
         latencies[rank - 1]
     };
     let mean = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
-    (pick(0.50), pick(0.95), pick(0.99), mean)
-}
-
-// ----------------------------------------------------- in-process mode
-
-/// The tiny serve-bench world shared by the in-process and telemetry
-/// sweeps: (dataset name, frozen model, users, items, groups).
-fn tiny_world() -> (String, Arc<FrozenModel>, usize, usize, usize) {
-    let syn = SyntheticConfig {
-        name: "serve-bench".into(),
-        seed: 7,
-        num_users: 60,
-        num_items: 40,
-        num_groups: 25,
-        num_topics: 4,
-        latent_dim: 4,
-        avg_items_per_user: 8.0,
-        avg_friends_per_user: 5.0,
-        avg_items_per_group: 1.5,
-        mean_group_size: 3.5,
-        zipf_exponent: 0.8,
-        homophily: 0.8,
-        social_influence: 0.3,
-        expertise_sharpness: 2.0,
-        taste_temperature: 0.3,
-        consensus_blend: 0.5,
-        connectedness_boost: 1.0,
-    };
-    let dataset = generate(&syn);
-    let model = GroupSa::new(GroupSaConfig::tiny(), dataset.num_users, dataset.num_items);
-    let ctx = DataContext::from_train_view(&dataset, model.config());
-    let (users, groups) = (ctx.num_users, ctx.num_groups());
-    let num_items = ctx.num_items;
-    (syn.name, Arc::new(FrozenModel::freeze(model, ctx)), users, num_items, groups)
-}
-
-fn in_process_sweep(clients: usize, per_client: usize, k: usize, save: bool) -> Result<(), String> {
-    let unset = std::env::var(groupsa_obs::TRACE_ENV).map(|v| v.trim().is_empty()).unwrap_or(true);
-    if unset {
-        std::env::set_var(groupsa_obs::TRACE_ENV, "results/serve_bench_trace.jsonl");
-    }
-    groupsa_obs::emit("run", &[("label", groupsa_obs::to_json(&"serve_bench_sweep"))]);
-    let (dataset_name, frozen, users, num_items, groups) = tiny_world();
-
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let engine =
-            Engine::start(Arc::clone(&frozen), EngineConfig { workers, ..EngineConfig::default() });
-        let started = Instant::now();
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let engine = Arc::clone(&engine);
-            let reqs = workload(per_client, c * per_client, k, users, groups);
-            handles.push(std::thread::spawn(move || {
-                let mut latencies = Vec::with_capacity(reqs.len());
-                for req in reqs {
-                    let t = Instant::now();
-                    let resp = engine.submit(req.clone());
-                    latencies.push(t.elapsed().as_micros() as u64);
-                    validate(&req, &resp)?;
-                }
-                Ok::<Vec<u64>, String>(latencies)
-            }));
-        }
-        let mut latencies = Vec::new();
-        for handle in handles {
-            latencies.extend(handle.join().map_err(|_| "client thread panicked".to_string())??);
-        }
-        let elapsed = started.elapsed();
-        engine.shutdown();
-
-        let (p50, p95, p99, mean) = exact_percentiles(&mut latencies);
-        let total = latencies.len() as u64;
-        let run = RunResult {
-            workers,
-            clients,
-            requests: total,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            throughput_rps: total as f64 / elapsed.as_secs_f64(),
-            p50_us: p50,
-            p95_us: p95,
-            p99_us: p99,
-            mean_us: mean,
-        };
-        println!(
-            "workers={} clients={} requests={} throughput={:.0} req/s p50={}us p95={}us p99={}us",
-            run.workers, run.clients, run.requests, run.throughput_rps, run.p50_us, run.p95_us, run.p99_us
-        );
-        runs.push(run);
-    }
-
-    if save {
-        groupsa_bench::output::check_schema("serve_bench", RESULT_SCHEMA_VERSION)?;
-        let report = BenchReport {
-            schema_version: RESULT_SCHEMA_VERSION,
-            dataset: dataset_name,
-            num_users: users,
-            num_items,
-            num_groups: groups,
-            k,
-            runs,
-        };
-        let path = groupsa_bench::output::save_json("serve_bench", &report).map_err(|e| e.to_string())?;
-        println!("[saved {}]", path.display());
-    } else {
-        println!("[--save false: skipped results/serve_bench.json]");
-    }
-    Ok(())
-}
-
-// ------------------------------------------------------ telemetry mode
-
-/// One sampling mode of the telemetry sweep.
-#[derive(Clone, Debug)]
-struct TelemetryRun {
-    mode: String,
-    sample_every: u64,
-    requests: u64,
-    elapsed_ms: f64,
-    throughput_rps: f64,
-    p50_us: u64,
-    p95_us: u64,
-    p99_us: u64,
-    mean_us: f64,
-    /// Lifecycle records the ring accepted / overwrote-and-dropped,
-    /// as the exposition page reported them at the end of the run.
-    ring_pushed: u64,
-    ring_dropped: u64,
-    /// Records still resident in the ring after shutdown.
-    records_captured: u64,
-    /// Throughput lost relative to the telemetry-off run of the same
-    /// sweep, in percent (0 for the off run itself; negative when a
-    /// sampled run happened to measure faster).
-    overhead_pct: f64,
-}
-
-impl_json_struct!(TelemetryRun {
-    mode,
-    sample_every,
-    requests,
-    elapsed_ms,
-    throughput_rps,
-    p50_us,
-    p95_us,
-    p99_us,
-    mean_us,
-    ring_pushed,
-    ring_dropped,
-    records_captured,
-    overhead_pct,
-});
-
-/// The telemetry report (`results/serve_bench_telemetry.json`): what
-/// request-lifecycle telemetry costs on the pipelined wire path, per
-/// sampling rate, against the telemetry-off baseline.
-#[derive(Clone, Debug)]
-struct TelemetryReport {
-    schema_version: u64,
-    dataset: String,
-    num_users: usize,
-    num_items: usize,
-    num_groups: usize,
-    workers: usize,
-    clients: usize,
-    requests_per_client: usize,
-    k: usize,
-    runs: Vec<TelemetryRun>,
-}
-
-impl_json_struct!(TelemetryReport {
-    schema_version,
-    dataset,
-    num_users,
-    num_items,
-    num_groups,
-    workers,
-    clients,
-    requests_per_client,
-    k,
-    runs,
-});
-
-/// Fetches a `MetricsDump` over `conn` and checks the exposition
-/// contract: the page parses and declares every metric in
-/// [`EXPOSITION_METRICS`]. Returns the parsed page.
-fn fetch_metrics_page(
-    conn: &mut Connection,
-    id: u64,
-) -> Result<groupsa_obs::expo::ParsedPage, String> {
-    let page = match conn.roundtrip(&Request::MetricsDump { id })? {
-        Response::Metrics { id: got, page } if got == id => page,
-        other => return Err(format!("expected Metrics response, got {other:?}")),
-    };
-    let parsed = groupsa_obs::expo::parse(&page)
-        .map_err(|e| format!("metrics page does not parse: {e}"))?;
-    for name in EXPOSITION_METRICS {
-        if !parsed.declares(name) {
-            return Err(format!("metrics page is missing # TYPE for {name}"));
-        }
-    }
-    Ok(parsed)
-}
-
-/// The telemetry cost sweep: the same pipelined TCP workload against a
-/// fresh server at sampling off, `1/64`, and `1/1` — configs injected
-/// through [`EngineConfig`] so the environment cannot skew a mode —
-/// with the `MetricsDump` page validated in every mode.
-fn telemetry_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    let clients: usize = num(flags, "clients", 4)?;
-    let per_client: usize = num(flags, "requests", 256)?;
-    let k: usize = num(flags, "k", 5)?;
-    let workers: usize = num(flags, "workers", 2)?;
-    let reps: usize = num(flags, "reps", 5)?.max(1);
-    let save = !matches!(flags.get("save").map(String::as_str), Some("false"));
-    let (dataset, frozen, users, items, groups) = tiny_world();
-    println!(
-        "telemetry sweep: pipelined TCP, {workers} workers, {clients} clients × {per_client} \
-         requests, best of {reps}"
-    );
-
-    let mut runs: Vec<TelemetryRun> = Vec::new();
-    for (mode, telemetry) in [
-        ("off", TelemetryConfig::disabled()),
-        ("1/64", TelemetryConfig::sampling(64)),
-        ("1/1", TelemetryConfig::sampling(1)),
-    ] {
-        let engine = Engine::start(
-            Arc::clone(&frozen),
-            EngineConfig {
-                workers,
-                // The whole pipelined burst may be in flight at once;
-                // this sweep measures telemetry cost, not overload
-                // behaviour, so the queue must swallow it.
-                queue_capacity: (clients * per_client).max(256),
-                telemetry: Some(telemetry),
-                ..EngineConfig::default()
-            },
-        );
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-        let addr = listener.local_addr().map_err(|e| e.to_string())?.to_string();
-        let server = {
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || server::run_with(listener, engine, ServerConfig::default()))
-        };
-
-        // Best-of-`reps` bursts against the same server: one 40 ms
-        // burst is far too noisy to support an overhead comparison, and
-        // the fastest rep is the one least polluted by scheduler luck.
-        let mut best: Option<(Vec<u64>, std::time::Duration)> = None;
-        for _ in 0..reps {
-            let started = Instant::now();
-            let mut handles = Vec::new();
-            for c in 0..clients {
-                let addr = addr.clone();
-                let reqs = workload(per_client, c * per_client, k, users, groups);
-                handles.push(std::thread::spawn(move || {
-                    let mut conn = Connection::open(&addr)?;
-                    pipelined_batch(&mut conn, &reqs)
-                }));
-            }
-            let mut latencies = Vec::new();
-            for handle in handles {
-                latencies
-                    .extend(handle.join().map_err(|_| "client thread panicked".to_string())??);
-            }
-            let elapsed = started.elapsed();
-            if best.as_ref().is_none_or(|(_, fastest)| elapsed < *fastest) {
-                best = Some((latencies, elapsed));
-            }
-        }
-        let (mut latencies, elapsed) = best.expect("reps >= 1");
-
-        // The exposition contract holds in every mode, off included.
-        let mut probe = Connection::open(&addr)?;
-        let parsed = fetch_metrics_page(&mut probe, 9_000)?;
-        if parsed.value("groupsa_obs_sample_every") != Some(telemetry.sample_every as f64) {
-            return Err(format!("page reports the wrong sampling rate for mode {mode}"));
-        }
-        let ring_pushed = parsed.value("groupsa_obs_ring_pushed_total").unwrap_or(0.0) as u64;
-        let ring_dropped = parsed.value("groupsa_obs_ring_dropped_total").unwrap_or(0.0) as u64;
-        match probe.roundtrip(&Request::Shutdown { id: 9_001 })? {
-            Response::Bye { id: 9_001 } => {}
-            other => return Err(format!("expected Bye, got {other:?}")),
-        }
-        server
-            .join()
-            .map_err(|_| "server thread panicked".to_string())?
-            .map_err(|e| e.to_string())?;
-        let records_captured = engine.telemetry().records().len() as u64;
-
-        let (p50, p95, p99, mean) = exact_percentiles(&mut latencies);
-        let total = latencies.len() as u64;
-        let throughput_rps = total as f64 / elapsed.as_secs_f64();
-        let overhead_pct = runs
-            .first()
-            .map(|off| (off.throughput_rps - throughput_rps) / off.throughput_rps * 100.0)
-            .unwrap_or(0.0);
-        let run = TelemetryRun {
-            mode: mode.to_string(),
-            sample_every: telemetry.sample_every,
-            requests: total,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            throughput_rps,
-            p50_us: p50,
-            p95_us: p95,
-            p99_us: p99,
-            mean_us: mean,
-            ring_pushed,
-            ring_dropped,
-            records_captured,
-            overhead_pct,
-        };
-        println!(
-            "  mode={:<5} {:>7.0} req/s p50={}us p95={}us ring={}/{}dropped records={} overhead={:+.1}%",
-            run.mode,
-            run.throughput_rps,
-            run.p50_us,
-            run.p95_us,
-            run.ring_pushed,
-            run.ring_dropped,
-            run.records_captured,
-            run.overhead_pct
-        );
-        runs.push(run);
-    }
-
-    if save {
-        groupsa_bench::output::check_schema("serve_bench_telemetry", RESULT_SCHEMA_VERSION)?;
-        let report = TelemetryReport {
-            schema_version: RESULT_SCHEMA_VERSION,
-            dataset,
-            num_users: users,
-            num_items: items,
-            num_groups: groups,
-            workers,
-            clients,
-            requests_per_client: per_client,
-            k,
-            runs,
-        };
-        let path = groupsa_bench::output::save_json("serve_bench_telemetry", &report)
-            .map_err(|e| e.to_string())?;
-        println!("[saved {}]", path.display());
-    } else {
-        println!("[--save false: skipped results/serve_bench_telemetry.json]");
-    }
-    Ok(())
-}
-
-// ------------------------------------------------------- overload mode
-
-/// Client-side classification of one answer under overload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Outcome {
-    Ok,
-    Shed,
-    Expired,
-    Rejected,
-    Error,
-}
-
-fn classify(resp: &Response) -> Outcome {
-    match resp {
-        Response::Recommend { .. } => Outcome::Ok,
-        Response::Error { error, .. } if error.starts_with("shed:") => Outcome::Shed,
-        Response::Error { error, .. } if error.contains("deadline exceeded") => Outcome::Expired,
-        Response::Error { error, .. } if error.contains("queue full") => Outcome::Rejected,
-        _ => Outcome::Error,
-    }
-}
-
-/// One step of the past-saturation client sweep.
-#[derive(Clone, Debug)]
-struct OverloadStep {
-    clients: usize,
-    requests: u64,
-    ok: u64,
-    shed: u64,
-    expired: u64,
-    rejected: u64,
-    errors: u64,
-    throughput_rps: f64,
-    ok_p50_us: u64,
-    ok_p95_us: u64,
-    /// Latency of the answers admission control *refused* — the point
-    /// of shedding is that these are orders of magnitude under the
-    /// deadline (0 when nothing was shed at this step).
-    shed_p50_us: u64,
-    shed_p95_us: u64,
-}
-
-impl_json_struct!(OverloadStep {
-    clients,
-    requests,
-    ok,
-    shed,
-    expired,
-    rejected,
-    errors,
-    throughput_rps,
-    ok_p50_us,
-    ok_p95_us,
-    shed_p50_us,
-    shed_p95_us,
-});
-
-/// The overload report (`results/serve_bench_overload.json`).
-#[derive(Clone, Debug)]
-struct OverloadReport {
-    schema_version: u64,
-    workers: usize,
-    queue_capacity: usize,
-    deadline_ms: u64,
-    num_users: usize,
-    num_items: usize,
-    num_groups: usize,
-    /// Sub-saturation throughput with shedding disabled / enabled on
-    /// the same workload — shedding must not tax the healthy regime.
-    baseline_rps_shed_off: f64,
-    baseline_rps_shed_on: f64,
-    steps: Vec<OverloadStep>,
-}
-
-impl_json_struct!(OverloadReport {
-    schema_version,
-    workers,
-    queue_capacity,
-    deadline_ms,
-    num_users,
-    num_items,
-    num_groups,
-    baseline_rps_shed_off,
-    baseline_rps_shed_on,
-    steps,
-});
-
-/// A heavy world: group-voting over a wide catalog, so a single worker
-/// saturates at a handful of concurrent clients.
-fn heavy_frozen(seed: u64) -> (Arc<FrozenModel>, usize, usize, usize) {
-    let syn = SyntheticConfig {
-        name: format!("serve-overload-{seed}"),
-        seed,
-        num_users: 60,
-        num_items: 400,
-        num_groups: 25,
-        num_topics: 4,
-        latent_dim: 4,
-        avg_items_per_user: 8.0,
-        avg_friends_per_user: 5.0,
-        avg_items_per_group: 1.5,
-        mean_group_size: 3.5,
-        zipf_exponent: 0.8,
-        homophily: 0.8,
-        social_influence: 0.3,
-        expertise_sharpness: 2.0,
-        taste_temperature: 0.3,
-        consensus_blend: 0.5,
-        connectedness_boost: 1.0,
-    };
-    let dataset = generate(&syn);
-    let model = GroupSa::new(GroupSaConfig::tiny(), dataset.num_users, dataset.num_items);
-    let ctx = DataContext::from_train_view(&dataset, model.config());
-    let (u, i, g) = (ctx.num_users, ctx.num_items, ctx.num_groups());
-    (Arc::new(FrozenModel::freeze(model, ctx)), u, i, g)
-}
-
-fn heavy_request(id: u64, groups: usize, k: usize, deadline_ms: u64) -> RecommendRequest {
-    RecommendRequest {
-        id,
-        target: Target::Group { id: id as usize % groups.max(1) },
-        k,
-        exclude_seen: false,
-        mode: ServeMode::Voting,
-        deadline_ms,
-    }
-}
-
-/// Drives `clients` blocking submitters of heavy group-voting requests
-/// through a fresh engine; returns (outcome counts, ok latencies µs,
-/// shed latencies µs, elapsed seconds), after checking the engine's
-/// own conservation law.
-fn overload_step(
-    frozen: &Arc<FrozenModel>,
-    groups: usize,
-    k: usize,
-    clients: usize,
-    per_client: usize,
-    deadline_ms: u64,
-    shed: bool,
-) -> Result<(Vec<(Outcome, u64)>, f64), String> {
-    let engine = Engine::start(
-        Arc::clone(frozen),
-        EngineConfig {
-            workers: 1,
-            queue_capacity: 64,
-            max_batch: 4,
-            default_deadline_ms: 0,
-            shed,
-            telemetry: None,
-        },
-    );
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let engine = Arc::clone(&engine);
-        handles.push(std::thread::spawn(move || {
-            let mut out = Vec::with_capacity(per_client);
-            for j in 0..per_client {
-                let req =
-                    heavy_request((c * per_client + j) as u64, groups, k, deadline_ms);
-                let t = Instant::now();
-                let resp = engine.submit(req);
-                out.push((classify(&resp), t.elapsed().as_micros() as u64));
-            }
-            out
-        }));
-    }
-    let mut outcomes = Vec::new();
-    for handle in handles {
-        outcomes.extend(handle.join().map_err(|_| "client thread panicked".to_string())?);
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let stats = engine.shutdown();
-    if stats.submitted != stats.completed + stats.errors + stats.expired + stats.shed {
-        return Err(format!(
-            "conservation violated at {clients} clients: submitted {} != {} + {} + {} + {}",
-            stats.submitted, stats.completed, stats.errors, stats.expired, stats.shed
-        ));
-    }
-    Ok((outcomes, elapsed))
-}
-
-fn percentiles_or_zero(mut latencies: Vec<u64>) -> (u64, u64) {
-    if latencies.is_empty() {
-        return (0, 0);
-    }
-    let (p50, p95, _, _) = exact_percentiles(&mut latencies);
-    (p50, p95)
-}
-
-/// The past-saturation sweep: 1 worker, deadline-carrying heavy
-/// requests, client counts far beyond capacity. Past saturation the
-/// engine must shed early (answers in µs, not after the deadline
-/// burned), and shedding must not cost throughput below saturation.
-fn overload_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    let per_client: usize = num(flags, "requests", 24)?;
-    let k: usize = num(flags, "k", 10)?;
-    // ~5 ms: an order of magnitude over one request's service time on
-    // this world, so the healthy regime never sheds, but a queue a few
-    // dozen deep predicts past it.
-    let deadline_ms: u64 = num(flags, "deadline-ms", 5)?;
-    let save = !matches!(flags.get("save").map(String::as_str), Some("false"));
-    let (frozen, users, items, groups) = heavy_frozen(7);
-    println!(
-        "overload sweep: 1 worker, {items}-item voting world, {deadline_ms} ms deadline, \
-         {per_client} requests/client"
-    );
-
-    // Sub-saturation baseline, shed off vs on: identical workloads, so
-    // any shedding overhead in the healthy regime shows up directly.
-    let (base_off, elapsed_off) =
-        overload_step(&frozen, groups, k, 2, per_client, deadline_ms, false)?;
-    let (base_on, elapsed_on) =
-        overload_step(&frozen, groups, k, 2, per_client, deadline_ms, true)?;
-    let baseline_rps_shed_off = base_off.len() as f64 / elapsed_off;
-    let baseline_rps_shed_on = base_on.len() as f64 / elapsed_on;
-    println!(
-        "  baseline (2 clients): shed-off {baseline_rps_shed_off:.0} req/s, \
-         shed-on {baseline_rps_shed_on:.0} req/s"
-    );
-
-    let mut steps = Vec::new();
-    for clients in [1usize, 2, 4, 8, 16, 32] {
-        let (outcomes, elapsed) =
-            overload_step(&frozen, groups, k, clients, per_client, deadline_ms, true)?;
-        let count = |o: Outcome| outcomes.iter().filter(|(kind, _)| *kind == o).count() as u64;
-        let lat = |o: Outcome| {
-            outcomes.iter().filter(|(kind, _)| *kind == o).map(|(_, us)| *us).collect::<Vec<_>>()
-        };
-        let (ok_p50, ok_p95) = percentiles_or_zero(lat(Outcome::Ok));
-        let (shed_p50, shed_p95) = percentiles_or_zero(lat(Outcome::Shed));
-        let step = OverloadStep {
-            clients,
-            requests: outcomes.len() as u64,
-            ok: count(Outcome::Ok),
-            shed: count(Outcome::Shed),
-            expired: count(Outcome::Expired),
-            rejected: count(Outcome::Rejected),
-            errors: count(Outcome::Error),
-            throughput_rps: outcomes.len() as f64 / elapsed,
-            ok_p50_us: ok_p50,
-            ok_p95_us: ok_p95,
-            shed_p50_us: shed_p50,
-            shed_p95_us: shed_p95,
-        };
-        println!(
-            "  clients={:<2} ok={:<3} shed={:<3} expired={:<3} rejected={:<3} errors={:<2} \
-             {:>6.0} req/s ok_p95={}us shed_p95={}us",
-            step.clients,
-            step.ok,
-            step.shed,
-            step.expired,
-            step.rejected,
-            step.errors,
-            step.throughput_rps,
-            step.ok_p95_us,
-            step.shed_p95_us
-        );
-        // The whole point of shedding: a shed answer must come back
-        // far before the deadline it refused to chase. "Far" = a tenth
-        // of the budget; in practice it is microseconds.
-        if step.shed > 0 && step.shed_p95_us * 10 > deadline_ms * 1000 {
-            return Err(format!(
-                "shed answers too slow at {clients} clients: p95 {}us vs {deadline_ms}ms deadline",
-                step.shed_p95_us
-            ));
-        }
-        steps.push(step);
-    }
-    let total_shed: u64 = steps.iter().map(|s| s.shed).sum();
-    if total_shed == 0 {
-        return Err("sweep never shed — the overload regime was not reached".into());
-    }
-
-    if save {
-        groupsa_bench::output::check_schema("serve_bench_overload", RESULT_SCHEMA_VERSION)?;
-        let report = OverloadReport {
-            schema_version: RESULT_SCHEMA_VERSION,
-            workers: 1,
-            queue_capacity: 64,
-            deadline_ms,
-            num_users: users,
-            num_items: items,
-            num_groups: groups,
-            baseline_rps_shed_off,
-            baseline_rps_shed_on,
-            steps,
-        };
-        let path = groupsa_bench::output::save_json("serve_bench_overload", &report)
-            .map_err(|e| e.to_string())?;
-        println!("[saved {}]", path.display());
-    } else {
-        println!("[--save false: skipped results/serve_bench_overload.json]");
-    }
-    Ok(())
+    Ok((pick(0.50), pick(0.95), pick(0.99), mean))
 }
 
 // ------------------------------------------------------ snapshot scale
@@ -948,7 +312,6 @@ fn dir_bytes(dir: &Path) -> u64 {
 /// Streams `users` synthetic users into a sharded binary snapshot,
 /// opens it lazily, and serves a mixed workload out of it — the
 /// million-scale path, measured instead of asserted.
-#[allow(clippy::too_many_arguments)]
 fn snapshot_scale(flags: &HashMap<String, String>) -> Result<(), String> {
     let users: usize = num(flags, "users", 1_000_000)?;
     let items: usize = num(flags, "items", 50_000)?;
@@ -968,9 +331,6 @@ fn snapshot_scale(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("groupsa-serve-bench-snap-{}", std::process::id())),
     };
-    if users == 0 || items == 0 || groups == 0 {
-        return Err("--users/--items/--groups must be positive".into());
-    }
 
     let mut cfg = GroupSaConfig::tiny();
     cfg.embed_dim = 16;
@@ -1058,7 +418,7 @@ fn snapshot_scale(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         let elapsed = started.elapsed();
         engine.shutdown();
-        let (p50, p95, p99, mean) = exact_percentiles(&mut latencies);
+        let (p50, p95, p99, mean) = exact_percentiles(&mut latencies)?;
         let total = latencies.len() as u64;
         let run = RunResult {
             workers,
@@ -1265,7 +625,7 @@ fn tcp_bench(
         latencies.extend(handle.join().map_err(|_| "client thread panicked".to_string())??);
     }
     let elapsed = started.elapsed();
-    let (p50, p95, p99, mean) = exact_percentiles(&mut latencies);
+    let (p50, p95, p99, mean) = exact_percentiles(&mut latencies)?;
     println!(
         "tcp{}: {} requests in {:.1} ms ({:.0} req/s) p50={}us p95={}us p99={}us mean={:.0}us",
         if pipeline { " (pipelined)" } else { "" },
@@ -1315,32 +675,41 @@ fn tcp_bench(
     Ok(())
 }
 
+/// Fetches a `MetricsDump` over `conn` and checks the exposition
+/// contract: the page parses and declares every metric in
+/// [`EXPOSITION_METRICS`]. Returns the parsed page.
+fn fetch_metrics_page(
+    conn: &mut Connection,
+    id: u64,
+) -> Result<groupsa_obs::expo::ParsedPage, String> {
+    let page = match conn.roundtrip(&Request::MetricsDump { id })? {
+        Response::Metrics { id: got, page } if got == id => page,
+        other => return Err(format!("expected Metrics response, got {other:?}")),
+    };
+    let parsed = groupsa_obs::expo::parse(&page)
+        .map_err(|e| format!("metrics page does not parse: {e}"))?;
+    for name in EXPOSITION_METRICS {
+        if !parsed.declares(name) {
+            return Err(format!("metrics page is missing # TYPE for {name}"));
+        }
+    }
+    Ok(parsed)
+}
+
 // ---------------------------------------------------------------- main
 
 fn run() -> Result<(), String> {
-    let flags = parse_flags()?;
+    let flags = parse_flags(std::env::args().skip(1))?;
+    let Some(addr) = flags.get("addr") else {
+        return snapshot_scale(&flags);
+    };
     let clients: usize = num(&flags, "clients", 4)?;
     let per_client: usize = num(&flags, "requests", 64)?;
     let k: usize = num(&flags, "k", 5)?;
-    match flags.get("addr") {
-        Some(addr) => {
-            let shutdown = matches!(flags.get("shutdown").map(String::as_str), Some("true"));
-            let pipeline = matches!(flags.get("pipeline").map(String::as_str), Some("true"));
-            let metrics = matches!(flags.get("metrics").map(String::as_str), Some("true"));
-            tcp_bench(addr, clients, per_client, k, shutdown, pipeline, metrics, flags.get("reload").map(String::as_str))
-        }
-        None if matches!(flags.get("telemetry").map(String::as_str), Some("true")) => {
-            telemetry_sweep(&flags)
-        }
-        None if matches!(flags.get("overload").map(String::as_str), Some("true")) => {
-            overload_sweep(&flags)
-        }
-        None if flags.contains_key("users") || flags.contains_key("snapshot") => snapshot_scale(&flags),
-        None => {
-            let save = !matches!(flags.get("save").map(String::as_str), Some("false"));
-            in_process_sweep(clients, per_client, k, save)
-        }
-    }
+    let shutdown = matches!(flags.get("shutdown").map(String::as_str), Some("true"));
+    let pipeline = matches!(flags.get("pipeline").map(String::as_str), Some("true"));
+    let metrics = matches!(flags.get("metrics").map(String::as_str), Some("true"));
+    tcp_bench(addr, clients, per_client, k, shutdown, pipeline, metrics, flags.get("reload").map(String::as_str))
 }
 
 fn main() -> ExitCode {
@@ -1350,5 +719,44 @@ fn main() -> ExitCode {
             eprintln!("serve_bench: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_flags(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn percentiles_of_no_latencies_are_an_error_not_a_panic() {
+        assert!(exact_percentiles(&mut []).is_err());
+        let mut latencies = [40, 10, 30, 20];
+        assert_eq!(exact_percentiles(&mut latencies), Ok((20, 40, 40, 25.0)));
+    }
+
+    #[test]
+    fn zero_counts_are_rejected_at_parse_time() {
+        for flag in ["--clients", "--requests"] {
+            let err = parse(&["--addr", "127.0.0.1:1", flag, "0"]).unwrap_err();
+            assert!(err.contains("must be positive"), "{flag}: {err}");
+        }
+        assert!(parse(&["--users", "0"]).unwrap_err().contains("must be positive"));
+        assert!(parse(&["--addr", "127.0.0.1:1", "--clients", "1", "--requests", "1"]).is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_and_a_missing_mode_are_usage_errors() {
+        let err = parse(&["--overload", "true"]).unwrap_err();
+        assert!(err.contains("--addr or --users") && err.contains("usage:"), "{err}");
+        assert!(parse(&[]).unwrap_err().contains("usage:"));
+        let err = parse(&["--addr", "127.0.0.1:1", "--telemetry", "true"]).unwrap_err();
+        assert!(err.contains("unknown flag --telemetry"), "{err}");
+        let err = parse(&["--addr", "127.0.0.1:1", "--users", "10"]).unwrap_err();
+        assert!(err.contains("unknown flag --users"), "{err}");
+        assert!(parse(&["--users", "10", "--workers", "2"]).unwrap_err().contains("--workers"));
+        assert!(parse(&["--users", "10", "--items", "5", "--save", "false"]).is_ok());
     }
 }

@@ -9,7 +9,9 @@
 //! * [`methods`] — train-and-evaluate drivers for GroupSA, every
 //!   baseline and every ablation variant;
 //! * [`output`] — result persistence (`results/*.json`) and the
-//!   paper-style text tables printed to stdout.
+//!   paper-style text tables printed to stdout;
+//! * [`harness`] — the wall-clock micro-benchmark harness behind the
+//!   `kernel_bench` perf gate.
 //!
 //! Run everything with `cargo run -p groupsa-bench --release --bin
 //! exp_all`, or a single experiment with e.g. `… --bin exp_table2`.
@@ -18,6 +20,7 @@
 
 pub mod env;
 pub mod experiments;
+pub mod harness;
 pub mod methods;
 pub mod output;
 

@@ -24,10 +24,10 @@ pub fn save_json<T: ToJson>(name: &str, payload: &T) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Schema version stamped into versioned bench reports
-/// (`serve_bench`, `train_bench`, `serve_bench_snapshot`,
-/// `quant_eval`) — the same contract `BENCH_kernels.json` uses. Bump
-/// it whenever a report's field set or meaning changes.
+/// Schema version stamped into versioned bench reports (`train_bench`,
+/// `serve_bench_snapshot`, `quant_eval`) — the same contract
+/// `BENCH_kernels.json` uses. Bump it whenever a report's field set or
+/// meaning changes.
 pub const RESULT_SCHEMA_VERSION: u64 = 1;
 
 /// Validates the `schema_version` of an existing `results/<name>.json`

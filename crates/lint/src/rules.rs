@@ -174,10 +174,8 @@ pub fn in_panic_scope(rel_path: &str) -> bool {
 /// recorded exemptions, e.g. `train.rs`), and `clock-scope` stays
 /// silent so one clock read never fires two rules.
 pub const CLOCK_SCOPES: &[&str] = &[
-    // Benchmarks exist to measure wall-clock time.
+    // Benchmarks and their timing harness exist to measure wall-clock time.
     "crates/bench/src/",
-    // The criterion shim is a timing harness by definition.
-    "crates/compat/criterion/src/",
     // Tracing, telemetry records, sliding windows: the clock's home.
     "crates/obs/src/",
     // Token-bucket refill and predicted-wait shedding are time-based.
@@ -226,12 +224,6 @@ pub const ALLOWED_FILES: &[(&str, &str, &str)] = &[
         "crates/compat/json/src/parse.rs",
         "every parser `.expect()` is peek-guarded (the cursor was just checked non-empty); \
          a malformed request still returns Err through Json::parse, never a panic",
-    ),
-    (
-        "panic-reach",
-        "crates/compat/criterion/src/lib.rs",
-        "bench-only harness linked into the reached set through `.stats()` method-name \
-         over-approximation; nothing in the serve path constructs its types",
     ),
 ];
 
@@ -600,7 +592,7 @@ mod tests {
         assert!(rules_fired("crates/obs/src/telemetry.rs", src).is_empty());
         assert!(rules_fired("crates/obs/src/bin/obs_top.rs", src).is_empty());
         assert!(rules_fired("crates/bench/src/bin/serve_bench.rs", src).is_empty());
-        assert!(rules_fired("crates/compat/criterion/src/lib.rs", src).is_empty());
+        assert!(rules_fired("crates/bench/src/harness.rs", src).is_empty());
         // Numeric crates answer to `ambient-time` instead — one clock
         // read never fires two rules.
         assert_eq!(

@@ -109,7 +109,7 @@ fn clock_scope_fires_outside_timing_modules_and_allow_suppresses() {
         "crates/serve/src/admission.rs",
         "crates/obs/src/telemetry.rs",
         "crates/bench/src/bin/serve_bench.rs",
-        "crates/compat/criterion/src/lib.rs",
+        "crates/bench/src/harness.rs",
     ] {
         assert!(groupsa_lint::in_clock_scope(rel), "{rel} must be a timing module");
         let (fired, _) = run_fixture("clock_scope.rs", rel);

@@ -26,6 +26,13 @@ done
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# The serve benchmark (servebench/, its own cargo package, gated
+# separately under BENCHMARK.json) builds against core and serve by
+# path: type-check it here so an API change that breaks its build
+# fails tier 1 instead of the post-merge benchmark run.
+cargo check -q --offline --manifest-path servebench/Cargo.toml
+echo "tier1: servebench type-checks against the workspace crates"
+
 # Static analysis: groupsa-lint walks every .rs file and Cargo.toml in
 # the workspace enforcing the determinism / panic-safety / hermeticity
 # / float-hygiene / concurrency-discipline invariants (DESIGN.md §11,
@@ -76,34 +83,44 @@ echo "tier1: parallel-training digest matches serial"
 
 # Serving smoke test: boot groupsa-serve on an ephemeral port (also
 # exporting its frozen model as a snapshot directory) with
-# request-lifecycle telemetry sampling every request, drive it with
-# the load generator over TCP — first request-per-roundtrip, then the
-# pipelined wire path (many requests in flight on one connection,
-# replies matched by id) with the MetricsDump exposition page fetched
-# and schema-validated (--metrics true), then a live hot-swap onto the
-# exported snapshot followed by more validated traffic — render the
-# obs_top dashboard once against the live server, ask the server to
-# shut down, and require a clean exit from every process.
+# request-lifecycle telemetry sampling every request and a JSONL trace,
+# drive it with the load generator over TCP — first
+# request-per-roundtrip, then the pipelined wire path (many requests in
+# flight on one connection, replies matched by id) with the
+# MetricsDump exposition page fetched and schema-validated
+# (--metrics true), then a live hot-swap onto the exported snapshot
+# followed by more validated traffic — render the obs_top dashboard
+# once against the live server, ask the server to shut down, and
+# require a clean exit from every process.
 serve_log="$(mktemp)"
 snap_dir="$(mktemp -d)/snap"
 trace_dir="$(mktemp -d)"
 trap 'rm -f "$serve_log"; rm -rf "$(dirname "$snap_dir")" "$trace_dir"' EXIT
-./target/release/groupsa-serve --dataset tiny --port 0 --workers 2 \
-    --obs-sample 1/1 --snapshot-export "$snap_dir" >"$serve_log" 2>/dev/null &
-serve_pid=$!
 
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(awk '/^LISTENING /{print $2; exit}' "$serve_log")"
-    [ -n "$addr" ] && break
-    sleep 0.2
-done
-if [ -z "$addr" ]; then
+# boot_serve TRACE [SERVER_FLAG...]: starts groupsa-serve on the tiny
+# dataset with GROUPSA_TRACE=TRACE, then sets serve_pid and addr once
+# the server announces where it listens.
+boot_serve() {
+    local trace="$1"
+    shift
+    # Empty the log first: a stale LISTENING line from an earlier boot
+    # must never be read as this server's address.
+    : >"$serve_log"
+    GROUPSA_TRACE="$trace" ./target/release/groupsa-serve --dataset tiny --port 0 --workers 2 \
+        "$@" >"$serve_log" 2>/dev/null &
+    serve_pid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr="$(awk '/^LISTENING /{print $2; exit}' "$serve_log")"
+        [ -n "$addr" ] && return 0
+        sleep 0.2
+    done
     echo "tier1: groupsa-serve never announced its address" >&2
     kill "$serve_pid" 2>/dev/null || true
     exit 1
-fi
+}
 
+boot_serve "$trace_dir/serve_telemetry_trace.jsonl" --obs-sample 1/1 --snapshot-export "$snap_dir"
 ./target/release/serve_bench --addr "$addr" --clients 3 --requests 8
 ./target/release/serve_bench --addr "$addr" --clients 3 --requests 16 --pipeline true \
     --metrics true
@@ -112,6 +129,22 @@ fi
     --reload "$snap_dir" --shutdown true
 wait "$serve_pid"
 echo "tier1: serve smoke test passed (roundtrip, pipelined, metrics page, obs_top, hot-swap)"
+
+# Traced serving with telemetry on: the smoke server above sampled
+# every request, so its trace must hold request/batch lifecycle events,
+# per-request lifecycle records, shutdown window snapshots and a final
+# stats snapshot, all schema-valid.
+./target/release/trace_check "$trace_dir/serve_telemetry_trace.jsonl" \
+    run batch request request_record window_snapshot stats
+echo "tier1: telemetry-sampled serve trace holds schema-valid request records and window snapshots"
+
+# Traced serving with telemetry off: a short un-sampled boot must still
+# emit request/batch lifecycle events and a final stats snapshot.
+boot_serve "$trace_dir/serve_trace.jsonl"
+./target/release/serve_bench --addr "$addr" --clients 2 --requests 8 --shutdown true >/dev/null
+wait "$serve_pid"
+./target/release/trace_check "$trace_dir/serve_trace.jsonl" run batch request stats
+echo "tier1: un-sampled serve trace is a schema-valid lifecycle trace"
 
 # Observability: with GROUPSA_TRACE set, a training run must leave a
 # schema-valid JSONL trace behind — and its stdout digest must be
@@ -128,23 +161,6 @@ if [ "$digest1" != "$digest_traced" ]; then
 fi
 ./target/release/trace_check "$trace_dir/train_trace.jsonl" run span epoch window metrics
 echo "tier1: traced training digest matches untraced; trace is schema-valid"
-
-# Traced serving: a small in-process serve_bench sweep (--save false so
-# the committed results/serve_bench.json is untouched) must emit
-# request/batch lifecycle events and a final stats snapshot.
-GROUPSA_TRACE="$trace_dir/serve_trace.jsonl" \
-    ./target/release/serve_bench --clients 2 --requests 8 --save false >/dev/null
-./target/release/trace_check "$trace_dir/serve_trace.jsonl" run batch request stats
-echo "tier1: traced serve sweep emitted a schema-valid lifecycle trace"
-
-# Traced serving with telemetry on: the same sweep sampling every
-# request must additionally emit per-request lifecycle records and
-# shutdown window snapshots, all schema-valid.
-GROUPSA_TRACE="$trace_dir/serve_telemetry_trace.jsonl" GROUPSA_OBS_SAMPLE=1/1 \
-    ./target/release/serve_bench --clients 2 --requests 8 --save false >/dev/null
-./target/release/trace_check "$trace_dir/serve_telemetry_trace.jsonl" \
-    run batch request request_record window_snapshot stats
-echo "tier1: telemetry-sampled sweep emitted schema-valid request records and window snapshots"
 
 # Snapshot format: write→read round-trip must be bit-exact, every
 # corruption family (bad magic, future version, truncation, slab bit

@@ -128,12 +128,11 @@ fn guard_rejects_a_registry_style_line() {
 #[test]
 fn compat_crates_shadow_the_external_names() {
     // The whole point of crates/compat: consuming code says `rand`,
-    // `proptest`, `criterion` and gets the in-tree implementations.
+    // `proptest` and gets the in-tree implementations.
     let root = workspace_root();
     for (dir, expected) in [
         ("rand", "name = \"rand\""),
         ("proptest", "name = \"proptest\""),
-        ("criterion", "name = \"criterion\""),
         ("json", "name = \"groupsa-json\""),
     ] {
         let manifest = root.join("crates/compat").join(dir).join("Cargo.toml");
