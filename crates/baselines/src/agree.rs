@@ -19,7 +19,7 @@ use groupsa_nn::loss::bpr_one_vs_rest;
 use groupsa_nn::optim::{Adam, Optimizer};
 use groupsa_nn::{Embedding, Init, Mlp, ParamStore, VanillaAttention};
 use groupsa_tensor::rng::{seeded, StdRng};
-use groupsa_tensor::{Graph, NodeId};
+use groupsa_tensor::{Forward, Graph, NodeId};
 
 /// The AGREE model. Group `t`'s representation for item `v` is
 /// `Σᵢ α(v, uᵢ)·emb(uᵢ) + q_t` with `α` a two-layer attention over
@@ -59,7 +59,7 @@ impl Agree {
         let eu = g.repeat_rows(eu, n);
         let ev = self.emb_item.lookup(g, &self.store, items);
         let cat = g.concat_cols(eu, ev);
-        self.pred.forward(g, &self.store, cat)
+        self.pred.forward(g, &self.store, &cat)
     }
 
     fn group_scores_graph(&self, g: &mut Graph, group: usize, items: &[usize]) -> NodeId {
@@ -73,10 +73,10 @@ impl Agree {
             let ev = g.slice_rows(ev_all, idx, 1);
             let ev_rep = g.repeat_rows(ev, members.len());
             let rows = g.concat_cols(eu, ev_rep); // [emb(uᵢ) ⊕ emb(v)]
-            let agg = self.att.aggregate(g, &self.store, rows, eu); // 1×d
+            let agg = self.att.aggregate(g, &self.store, &rows, &eu); // 1×d
             let rep = g.add(agg, pref);
             let cat = g.concat_cols(rep, ev);
-            let s = self.pred.forward(g, &self.store, cat);
+            let s = self.pred.forward(g, &self.store, &cat);
             scores = Some(match scores {
                 None => s,
                 Some(acc) => g.concat_rows(acc, s),

@@ -14,7 +14,7 @@ use groupsa_nn::loss::bpr_one_vs_rest;
 use groupsa_nn::optim::{Adam, Optimizer};
 use groupsa_nn::{Embedding, Init, Linear, Mlp, ParamStore};
 use groupsa_tensor::rng::{seeded, StdRng};
-use groupsa_tensor::{Graph, NodeId};
+use groupsa_tensor::{Forward, Graph, NodeId};
 
 /// NeuMF: `score = head([ (p ⊙ q) ⊕ MLP([p' ⊕ q']) ])` with separate
 /// GMF and MLP embedding tables, as in the original paper.
@@ -59,10 +59,10 @@ impl Ncf {
         let pu2 = g.repeat_rows(pu2, n);
         let qi2 = self.mlp_item.lookup(g, &self.store, items);
         let cat = g.concat_cols(pu2, qi2);
-        let mlp = self.tower.forward(g, &self.store, cat); // n×half
+        let mlp = self.tower.forward(g, &self.store, &cat); // n×half
 
         let fused = g.concat_cols(gmf, mlp);
-        self.head.forward(g, &self.store, fused) // n×1
+        self.head.forward(g, &self.store, &fused) // n×1
     }
 
     /// One BPR epoch over `pairs` (negatives sampled against `graph`).

@@ -23,7 +23,7 @@ use groupsa_nn::loss::bpr_one_vs_rest;
 use groupsa_nn::optim::{Adam, Optimizer};
 use groupsa_nn::{Embedding, Init, Mlp, ParamStore, VanillaAttention};
 use groupsa_tensor::rng::{seeded, StdRng};
-use groupsa_tensor::{Graph, NodeId};
+use groupsa_tensor::{Forward, Graph, NodeId};
 
 /// Number of PageRank quantile buckets for the influence bias.
 const INFLUENCE_BUCKETS: usize = 8;
@@ -75,7 +75,7 @@ impl SigrLike {
         let eu = g.repeat_rows(eu, n);
         let ev = self.emb_item.lookup(g, &self.store, items);
         let cat = g.concat_cols(eu, ev);
-        self.pred.forward(g, &self.store, cat)
+        self.pred.forward(g, &self.store, &cat)
     }
 
     fn group_scores_graph(&self, g: &mut Graph, group: usize, items: &[usize]) -> NodeId {
@@ -91,12 +91,12 @@ impl SigrLike {
             let ev = g.slice_rows(ev_all, idx, 1);
             let ev_rep = g.repeat_rows(ev, members.len());
             let rows = g.concat_cols(eu, ev_rep);
-            let raw = self.att.raw_scores(g, &self.store, rows); // 1×l
+            let raw = self.att.raw_scores(g, &self.store, &rows); // 1×l
             let biased = g.add(raw, infl);
             let w = g.softmax_rows(biased); // 1×l
             let rep = g.matmul(w, eu); // 1×d
             let cat = g.concat_cols(rep, ev);
-            let s = self.pred.forward(g, &self.store, cat);
+            let s = self.pred.forward(g, &self.store, &cat);
             scores = Some(match scores {
                 None => s,
                 Some(acc) => g.concat_rows(acc, s),

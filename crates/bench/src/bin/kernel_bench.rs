@@ -45,7 +45,8 @@ use groupsa_nn::{ParamStore, TransformerLayer};
 use groupsa_serve::protocol::Target;
 use groupsa_serve::FrozenModel;
 use groupsa_tensor::rng::seeded;
-use groupsa_tensor::{ops, Graph, Matrix};
+use groupsa_tensor::{ops, Eager, Forward, Graph, Matrix};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -337,13 +338,14 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         .map(|i| (0..gl).map(|j| j == (i + 1) % gl || i == (j + 1) % gl).collect())
         .collect();
     let mask = social_bias_mask(&allowed);
+    let x = Cow::Borrowed(&x);
     record(
         &c,
         &mut out,
         "attention_forward_inference",
         format!("l={gl},d={gd}"),
         (gl * gl * gd) as f64,
-        |ben| ben.iter(|| black_box(layer.forward_inference(&store, black_box(&x), Some(&mask)))),
+        |ben| ben.iter(|| black_box(layer.forward(&mut Eager, &store, &mut rng, black_box(&x), Some(&mask), false))),
     );
 
     // 5. BPR one-vs-rest forward + backward through a two-layer tower

@@ -154,7 +154,7 @@ fn run(save: bool) -> Result<(), String> {
     let dim = frozen.model().user_embedding_table().cols();
 
     // In-memory reference: the frozen tables exactly as `freeze` built
-    // them, scored through the same frozen scoring twins.
+    // them, scored through the same frozen scoring entry points.
     let model = frozen.model();
     let ctx = frozen.context();
     let latents: Vec<_> = (0..ctx.num_users).map(|u| model.user_latent_frozen(ctx, u)).collect();

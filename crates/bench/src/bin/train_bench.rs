@@ -9,10 +9,14 @@
 //!   `results/train_bench.json`.
 //! * **Digest** (`--digest`): runs a short fixed training with the
 //!   worker count taken from `GROUPSA_TRAIN_THREADS` (the trainer's
-//!   normal env knob) and prints the `TrainReport` plus a parameter
-//!   checksum as one JSON line. CI runs this at two thread counts and
-//!   diffs the output — any divergence breaks the determinism
-//!   contract.
+//!   normal env knob) and prints the `TrainReport`, a parameter
+//!   checksum and a checksum of the trained model's serving scores as
+//!   one JSON line. CI runs this at two thread counts and diffs the
+//!   output — any divergence breaks the determinism contract — and
+//!   compares the serial digest against the committed
+//!   `results/train_digest.json`, so a change that moves training or
+//!   scoring bits fails even when it moves them identically at every
+//!   thread count.
 
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig, TrainReport, Trainer};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
@@ -57,19 +61,35 @@ fn world(seed: u64, cfg: &GroupSaConfig) -> (Dataset, DataContext) {
     (dataset, ctx)
 }
 
-/// FNV-1a over the bit patterns of every parameter scalar — equal
-/// checksums mean bit-identical models.
-fn param_checksum(model: &GroupSa) -> String {
+/// FNV-1a over the bit patterns of `values` — equal checksums mean
+/// bit-identical values.
+fn checksum(values: impl IntoIterator<Item = f32>) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for m in model.store().snapshot_values() {
-        for &v in m.as_slice() {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+    for b in values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
     }
     format!("{h:016x}")
+}
+
+/// Checksum of every parameter scalar.
+fn param_checksum(model: &GroupSa) -> String {
+    checksum(model.store().snapshot_values().into_iter().flat_map(|m| m.into_vec()))
+}
+
+/// Checksum of the trained model's eager serving scores over the full
+/// catalog: the first eight users one by one and stacked, and the
+/// voting path for the first eight groups. It pins the forward pass
+/// across commits, where the parameter checksum pins only training.
+fn score_checksum(model: &GroupSa, ctx: &DataContext) -> String {
+    let items: Vec<usize> = (0..ctx.num_items).collect();
+    let users: Vec<usize> = (0..ctx.num_users.min(8)).collect();
+    let latents: Vec<_> = users.iter().map(|&u| model.user_latent_frozen(ctx, u)).collect();
+    let refs: Vec<_> = latents.iter().map(Option::as_ref).collect();
+    let solo = users.iter().zip(&refs).flat_map(|(&u, &h)| model.score_user_items_frozen(u, &items, h));
+    let stacked = model.score_users_items_frozen(&users, &refs, &items).into_iter().flatten();
+    let groups = (0..ctx.num_groups().min(8)).filter(|&g| !ctx.members[g].is_empty());
+    let voting = groups.flat_map(|g| model.score_group_items_frozen(&model.member_reps_frozen(ctx, g, &latents), &items));
+    checksum(solo.chain(stacked).chain(voting))
 }
 
 fn bench_cfg() -> GroupSaConfig {
@@ -204,9 +224,10 @@ fn sweep() {
 struct Digest {
     report: TrainReport,
     param_checksum: String,
+    score_checksum: String,
 }
 
-impl_json_struct!(Digest { report, param_checksum });
+impl_json_struct!(Digest { report, param_checksum, score_checksum });
 
 /// A short fixed training whose serialized outcome must be identical at
 /// every `GROUPSA_TRAIN_THREADS` value — and whether or not
@@ -225,7 +246,11 @@ fn digest() {
     groupsa_obs::emit("run", &[("label", groupsa_obs::to_json(&"train_bench_digest"))]);
     let mut report = trainer.fit(&mut model, &ctx);
     report.zero_wall_clock();
-    let digest = Digest { report, param_checksum: param_checksum(&model) };
+    let digest = Digest {
+        report,
+        param_checksum: param_checksum(&model),
+        score_checksum: score_checksum(&model, &ctx),
+    };
     println!("{}", groupsa_json::to_string(&digest));
 }
 

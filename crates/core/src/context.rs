@@ -117,8 +117,7 @@ impl DataContext {
     /// excluded) and `members` (Fast-mode aggregation); the expensive
     /// per-user/per-group intermediates come from the snapshot tables,
     /// which were precomputed against the *real* context at freeze
-    /// time. A stub context cannot recompute those tables — serve's
-    /// `FrozenModel` refuses to `rebuild` on top of one.
+    /// time. A stub context cannot recompute those tables.
     pub fn serving_stub(num_users: usize, num_items: usize, members: Vec<Vec<usize>>) -> Self {
         let num_groups = members.len();
         Self {

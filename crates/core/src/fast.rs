@@ -30,16 +30,19 @@ pub enum ScoreAggregation {
 impl_json_enum!(ScoreAggregation { Average, LeastMisery, MaxSatisfaction });
 
 impl ScoreAggregation {
-    /// Combines one item's member scores.
+    /// Combines one item's member scores, in member order. Taking an
+    /// iterator lets callers read a score column straight out of
+    /// per-member rows, with no buffer per item.
     ///
     /// # Panics
     /// If `scores` is empty.
-    pub fn combine(self, scores: &[f32]) -> f32 {
-        assert!(!scores.is_empty(), "ScoreAggregation::combine: no member scores");
+    pub fn combine(self, scores: impl ExactSizeIterator<Item = f32>) -> f32 {
+        let n = scores.len();
+        assert!(n > 0, "ScoreAggregation::combine: no member scores");
         match self {
-            ScoreAggregation::Average => scores.iter().sum::<f32>() / scores.len() as f32,
-            ScoreAggregation::LeastMisery => scores.iter().copied().fold(f32::INFINITY, f32::min),
-            ScoreAggregation::MaxSatisfaction => scores.iter().copied().fold(f32::NEG_INFINITY, f32::max),
+            ScoreAggregation::Average => scores.sum::<f32>() / n as f32,
+            ScoreAggregation::LeastMisery => scores.fold(f32::INFINITY, f32::min),
+            ScoreAggregation::MaxSatisfaction => scores.fold(f32::NEG_INFINITY, f32::max),
         }
     }
 
@@ -69,12 +72,7 @@ impl GroupSa {
             .iter()
             .map(|&u| self.score_user_items(ctx, u, items))
             .collect();
-        (0..items.len())
-            .map(|idx| {
-                let column: Vec<f32> = per_member.iter().map(|row| row[idx]).collect();
-                agg.combine(&column)
-            })
-            .collect()
+        (0..items.len()).map(|idx| agg.combine(per_member.iter().map(|row| row[idx]))).collect()
     }
 
     /// A [`Scorer`] over groups using the fast mode.
@@ -92,9 +90,9 @@ mod tests {
     #[test]
     fn combine_strategies() {
         let s = [0.2f32, 0.8, 0.5];
-        assert!((ScoreAggregation::Average.combine(&s) - 0.5).abs() < 1e-6);
-        assert_eq!(ScoreAggregation::LeastMisery.combine(&s), 0.2);
-        assert_eq!(ScoreAggregation::MaxSatisfaction.combine(&s), 0.8);
+        assert!((ScoreAggregation::Average.combine(s.into_iter()) - 0.5).abs() < 1e-6);
+        assert_eq!(ScoreAggregation::LeastMisery.combine(s.into_iter()), 0.2);
+        assert_eq!(ScoreAggregation::MaxSatisfaction.combine(s.into_iter()), 0.8);
     }
 
     #[test]
@@ -107,7 +105,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no member scores")]
     fn combine_empty_panics() {
-        let _ = ScoreAggregation::Average.combine(&[]);
+        let _ = ScoreAggregation::Average.combine(std::iter::empty());
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Tape-free frozen scoring: eval-path twins of the graph builders.
+//! The eager serving entry points.
 //!
-//! The training code scores through [`groupsa_tensor::Graph`], which
-//! allocates a node per op so gradients can flow. A serving process
-//! never needs gradients, so this module re-expresses the exact same
-//! op sequence (the compositions of [`crate::user_model`] and
-//! [`crate::voting`]) through the gradient-free `forward_inference`
-//! building blocks of `groupsa-nn`.
-//!
-//! **Equivalence contract**: every graph op computes its forward value
-//! eagerly by delegating to the same `Matrix`/`ops` routines these
-//! twins call, in the same order, so frozen scores are bit-identical
-//! to [`GroupSa::score_user_items`] / [`GroupSa::score_group_items`]
-//! (up to IEEE sign-of-zero, which `f32 ==` treats as equal). The
-//! golden tests below and in `groupsa-serve` pin this down.
+//! Every GroupSA equation is written once, generic over
+//! [`groupsa_tensor::Forward`], in [`crate::user_model`] and
+//! [`crate::voting`]. Training and evaluation record those definitions
+//! on a [`groupsa_tensor::Graph`]; the entry points here run the same
+//! definitions on the tape-free [`Eager`] evaluator, which borrows the
+//! parameters instead of copying them and records nothing. Both
+//! evaluators compute every value through the same `Matrix` routines,
+//! so these scores are bit-identical to
+//! [`GroupSa::score_user_items`] / [`GroupSa::score_group_items`] (up
+//! to IEEE sign-of-zero, which `f32 ==` treats as equal). The tests
+//! below and the goldens in `groupsa-serve` pin this down.
 //!
 //! The split into *latent* / *member-reps* producers and score
 //! consumers is what makes serving cheap: a `FrozenModel` (in
@@ -24,68 +22,14 @@
 
 use crate::context::DataContext;
 use crate::model::GroupSa;
-use groupsa_tensor::{ops, Matrix};
+use groupsa_tensor::rng::seeded;
+use groupsa_tensor::{Eager, Matrix};
+use std::borrow::Cow;
 
 impl GroupSa {
-    /// Number of users the embedding tables were built for.
-    pub fn num_users(&self) -> usize {
-        self.emb_user.count()
-    }
-
-    /// Number of items the embedding tables were built for.
-    pub fn num_items(&self) -> usize {
-        self.emb_item.count()
-    }
-
-    /// The shared user embedding table `embᵁ` (`num_users×d`).
-    pub fn user_embedding_table(&self) -> &Matrix {
-        self.store.value(self.emb_user.slot())
-    }
-
-    /// The shared item embedding table `embⱽ` (`num_items×d`).
-    pub fn item_embedding_table(&self) -> &Matrix {
-        self.store.value(self.emb_item.slot())
-    }
-
-    /// Tape-free twin of the item-aggregation branch `hⱽ_j`
-    /// (Eq. 11–14), driven by an explicit Top-H item list.
-    fn item_aggregation_frozen(&self, items: &[usize], emb_u: &Matrix) -> Option<Matrix> {
-        if !self.cfg.ablation.item_aggregation {
-            return None;
-        }
-        if items.is_empty() {
-            return None;
-        }
-        let xs = self.lat_item.lookup_inference(&self.store, items); // H×d
-        let eu_rep = emb_u.repeat_rows(items.len());
-        let rows = eu_rep.concat_cols(&xs); // H×2d
-        let agg = self.item_att.aggregate_inference(&self.store, &rows, &xs); // 1×d
-        let mut lin = self.item_agg_out.forward_inference(&self.store, &agg);
-        lin.map_inplace(ops::relu);
-        Some(lin)
-    }
-
-    /// Tape-free twin of the social-aggregation branch `hˢ_j`
-    /// (Eq. 15–18), driven by an explicit Top-H friend list.
-    fn social_aggregation_frozen(&self, friends: &[usize], emb_u: &Matrix) -> Option<Matrix> {
-        if !self.cfg.ablation.social_aggregation {
-            return None;
-        }
-        if friends.is_empty() {
-            return None;
-        }
-        let xs = self.lat_social.lookup_inference(&self.store, friends); // H×d
-        let eu_rep = emb_u.repeat_rows(friends.len());
-        let rows = eu_rep.concat_cols(&xs); // H×2d
-        let agg = self.social_att.aggregate_inference(&self.store, &rows, &xs); // 1×d
-        let mut lin = self.social_agg_out.forward_inference(&self.store, &agg);
-        lin.map_inplace(ops::relu);
-        Some(lin)
-    }
-
-    /// Tape-free twin of [`GroupSa::user_latent_graph`] (Eq. 19): the
-    /// enhanced user latent factor `h_j`, or `None` when user modeling
-    /// is ablated or the user has neither history nor friends.
+    /// The enhanced user latent factor `h_j` (Eq. 19), or `None` when
+    /// user modeling is ablated or the user has neither history nor
+    /// friends.
     ///
     /// This is the expensive, *precomputable* half of user scoring —
     /// it depends only on the trained parameters and the context, so a
@@ -99,63 +43,28 @@ impl GroupSa {
     /// producer the snapshot builder streams through: a chunked
     /// generator can hand over each user's lists without ever
     /// materializing a full context, and the result is bit-identical
-    /// to the context-driven call (same ops, same order).
+    /// to the context-driven call.
     pub fn user_latent_from_lists(
         &self,
         user: usize,
         top_items: &[usize],
         top_friends: &[usize],
     ) -> Option<Matrix> {
-        if !self.cfg.ablation.user_modeling() {
-            return None;
-        }
-        let emb_u = self.emb_user.lookup_inference(&self.store, &[user]); // 1×d
-        let hv = self.item_aggregation_frozen(top_items, &emb_u);
-        let hs = self.social_aggregation_frozen(top_friends, &emb_u);
-        match (hv, hs) {
-            (Some(hv), Some(hs)) => {
-                let cat = hv.concat_cols(&hs); // 1×2d
-                Some(self.fusion.forward_inference(&self.store, &cat))
-            }
-            (Some(hv), None) => Some(hv),
-            (None, Some(hs)) => Some(hs),
-            (None, None) => None,
-        }
+        self.user_latent(&mut Eager, user, top_items, top_friends).map(Cow::into_owned)
     }
 
-    /// Tape-free twin of the user-task scores (Eq. 22–23), taking the
-    /// user's latent factor as an input instead of recomputing it —
-    /// pass the cached result of [`GroupSa::user_latent_frozen`]
-    /// (`None` reproduces the `r₁`-only fallback).
+    /// The user-task scores (Eq. 22–23), taking the user's latent
+    /// factor as an input instead of recomputing it — pass the cached
+    /// result of [`GroupSa::user_latent_frozen`] (`None` reproduces the
+    /// `r₁`-only fallback).
     ///
     /// # Panics
     /// If `items` is empty or any id is out of range.
     pub fn score_user_items_frozen(&self, user: usize, items: &[usize], latent: Option<&Matrix>) -> Vec<f32> {
-        assert!(!items.is_empty(), "score_user_items_frozen: no items to score");
-        let n = items.len();
-        let emb_u = self.emb_user.lookup_inference(&self.store, &[user]); // 1×d
-        let eu_rep = emb_u.repeat_rows(n);
-        let ev = self.emb_item.lookup_inference(&self.store, items); // n×d
-        let cat1 = eu_rep.concat_cols(&ev).concat_cols(&eu_rep.mul_elem(&ev)); // n×3d
-        let r1 = self.pred_user.forward_inference(&self.store, &cat1); // n×1
-
-        let w = self.cfg.w_u;
-        let scores = match latent {
-            // Exact-zero gate on a config weight, not an arithmetic
-            // result: w_u = 0.0 means "tower disabled", set literally.
-            Some(h) if w != 0.0 => { // lint: allow(float-eq)
-                let h_rep = h.repeat_rows(n);
-                let xv = self.lat_item.lookup_inference(&self.store, items); // n×d
-                let cat2 = h_rep.concat_cols(&xv).concat_cols(&h_rep.mul_elem(&xv)); // n×3d
-                let r2 = self.pred_user.forward_inference(&self.store, &cat2); // n×1
-                r1.scale(1.0 - w).add(&r2.scale(w))
-            }
-            _ => r1,
-        };
-        scores.as_slice().to_vec()
+        self.user_scores(&mut Eager, user, items, |_| latent.map(Cow::Borrowed)).into_owned().into_vec()
     }
 
-    /// Batched twin of [`GroupSa::score_user_items_frozen`]: scores
+    /// Batched form of [`GroupSa::score_user_items_frozen`]: scores
     /// the same `items` slice for many users through **one** stacked
     /// prediction-tower pass instead of one pass per user.
     ///
@@ -186,9 +95,10 @@ impl GroupSa {
         let n = items.len();
         // Shared gathers happen once per call, regardless of how many
         // stacked sub-batches the tower pass below is split into.
-        let ev = self.emb_item.lookup_inference(&self.store, items); // n×d
-        let xv = if self.cfg.w_u != 0.0 && latents.iter().any(|l| l.is_some()) { // lint: allow(float-eq)
-            Some(self.lat_item.lookup_inference(&self.store, items)) // n×d
+        let ev = self.emb_item.lookup(&mut Eager, &self.store, items); // n×d
+        let w = self.cfg.w_u;
+        let xv = if w != 0.0 && latents.iter().any(|l| l.is_some()) { // lint: allow(float-eq)
+            Some(self.lat_item.lookup(&mut Eager, &self.store, items)) // n×d
         } else {
             None
         };
@@ -200,99 +110,59 @@ impl GroupSa {
         const STACK_ROWS: usize = 256;
         let per = (STACK_ROWS / n).max(1);
         let mut out = Vec::with_capacity(users.len());
-        for (uc, lc) in users.chunks(per).zip(latents.chunks(per)) {
-            self.score_user_chunk_stacked(uc, lc, &ev, xv.as_ref(), &mut out);
+        for (users, latents) in users.chunks(per).zip(latents.chunks(per)) {
+            let r1 = self.stacked_user_tower(users.iter().map(|&u| self.emb_user.row(&self.store, u)), &ev); // (U·n)×1
+
+            // The r₂ tower only runs for users whose latent exists and
+            // whose blend weight engages it (exact-zero config gate,
+            // same as the per-user path) — exactly when `xv` exists.
+            let with_latent: Vec<usize> = (0..users.len())
+                .filter(|&j| latents[j].is_some() && w != 0.0) // lint: allow(float-eq)
+                .collect();
+            let r2 = match &xv {
+                Some(xv) if !with_latent.is_empty() => {
+                    let heads = with_latent.iter().filter_map(|&j| latents[j]).map(|h| h.row(0));
+                    Some(self.stacked_user_tower(heads, xv)) // (L·n)×1
+                }
+                _ => None,
+            };
+
+            let mut r2_rows = r2.iter().flat_map(|r2| r2.as_slice().chunks_exact(n));
+            for (j, r1_rows) in r1.as_slice().chunks_exact(n).enumerate() {
+                let blend = if with_latent.contains(&j) { r2_rows.next() } else { None };
+                out.push(match blend {
+                    Some(r2_rows) => r1_rows.iter().zip(r2_rows).map(|(&a, &b)| a * (1.0 - w) + b * w).collect(),
+                    None => r1_rows.to_vec(),
+                });
+            }
         }
         out
     }
 
-    /// One stacked tower pass over a bounded user sub-batch; shared
-    /// item gathers (`ev`, and `xv` when any latent engages) are done
-    /// by the caller. Appends one score row per user to `out`.
-    fn score_user_chunk_stacked(
-        &self,
-        users: &[usize],
-        latents: &[Option<&Matrix>],
-        ev: &Matrix,
-        xv: Option<&Matrix>,
-        out: &mut Vec<Vec<f32>>,
-    ) {
-        let n = ev.rows();
-        let d = ev.cols();
-
-        // Stacked r₁ inputs: per user the same [eᵁ | eⱽ | eᵁ⊙eⱽ] rows
-        // the per-user path concatenates. Built with row-wise slice
-        // copies, not per-element pushes — the build is pure data
-        // movement and must not eat the batching win.
+    /// The user prediction tower over stacked `[a | b | a⊙b]` rows,
+    /// head-major: row `j·n + i` pairs head row `j` with row `i` of
+    /// `items` — per head, the rows the per-user path concatenates.
+    /// Built with row-wise slice copies, not per-element pushes — the
+    /// build is pure data movement and must not eat the batching win.
+    fn stacked_user_tower<'h>(&self, heads: impl Iterator<Item = &'h [f32]> + Clone, items: &Matrix) -> Matrix {
+        let (n, d) = items.shape();
         let width = 3 * d;
-        let mut cat1 = vec![0.0f32; users.len() * n * width];
-        for (j, &u) in users.iter().enumerate() {
-            let eu = self.emb_user.row(&self.store, u); // &[f32] of len d
-            for i in 0..n {
-                let evr = ev.row(i);
-                let row = &mut cat1[(j * n + i) * width..(j * n + i + 1) * width];
-                row[..d].copy_from_slice(eu);
-                row[d..2 * d].copy_from_slice(evr);
-                for ((o, &a), &b) in row[2 * d..].iter_mut().zip(eu).zip(evr) {
+        let mut cat = vec![0.0f32; heads.clone().count() * n * width];
+        for (rows, head) in cat.chunks_exact_mut(n * width).zip(heads) {
+            for (row, item) in rows.chunks_exact_mut(width).zip(items.rows_iter()) {
+                row[..d].copy_from_slice(head);
+                row[d..2 * d].copy_from_slice(item);
+                for ((o, &a), &b) in row[2 * d..].iter_mut().zip(head).zip(item) {
                     *o = a * b;
                 }
             }
         }
-        let cat1 = Matrix::from_vec(users.len() * n, width, cat1);
-        let r1 = self.pred_user.forward_inference(&self.store, &cat1); // (U·n)×1
-
-        // The r₂ tower only runs for users whose latent exists and
-        // whose blend weight engages it (exact-zero config gate, same
-        // as the per-user path).
-        let w = self.cfg.w_u;
-        let with_latent: Vec<usize> = (0..users.len())
-            .filter(|&j| latents[j].is_some() && w != 0.0) // lint: allow(float-eq)
-            .collect();
-        let r2 = if with_latent.is_empty() {
-            None
-        } else {
-            // lint: allow(panic-reach) — xv is gathered above whenever with_latent is non-empty.
-            let xv = xv.expect("caller gathers xv whenever any latent engages");
-            let mut cat2 = vec![0.0f32; with_latent.len() * n * width];
-            for (rank, &j) in with_latent.iter().enumerate() {
-                let h = latents[j].expect("filtered to Some").row(0); // lint: allow(panic-reach)
-                for i in 0..n {
-                    let xvr = xv.row(i);
-                    let row = &mut cat2[(rank * n + i) * width..(rank * n + i + 1) * width];
-                    row[..d].copy_from_slice(h);
-                    row[d..2 * d].copy_from_slice(xvr);
-                    for ((o, &a), &b) in row[2 * d..].iter_mut().zip(h).zip(xvr) {
-                        *o = a * b;
-                    }
-                }
-            }
-            let cat2 = Matrix::from_vec(with_latent.len() * n, width, cat2);
-            Some(self.pred_user.forward_inference(&self.store, &cat2)) // (L·n)×1
-        };
-
-        let mut latent_rank = 0usize;
-        for j in 0..users.len() {
-            let r1_rows = &r1.as_slice()[j * n..(j + 1) * n];
-            if with_latent.contains(&j) {
-                // lint: allow(panic-reach) — r2 is Some exactly when with_latent is non-empty.
-                let r2 = r2.as_ref().expect("r2 computed for latent-bearing users");
-                let r2_rows = &r2.as_slice()[latent_rank * n..(latent_rank + 1) * n];
-                latent_rank += 1;
-                out.push(
-                    r1_rows
-                        .iter()
-                        .zip(r2_rows)
-                        .map(|(&a, &b)| a * (1.0 - w) + b * w)
-                        .collect(),
-                );
-            } else {
-                out.push(r1_rows.to_vec());
-            }
-        }
+        let cat = Cow::Owned(Matrix::from_vec(cat.len() / width, width, cat));
+        self.pred_user.forward(&mut Eager, &self.store, &cat).into_owned()
     }
 
-    /// Tape-free twin of [`GroupSa::member_reps_graph`] (Eq. 1–6),
-    /// returning the post-voting `l×d` member representations.
+    /// The post-voting `l×d` member representations (Eq. 1–6) of
+    /// `group`.
     ///
     /// `latents` is an optional per-user cache indexed by user id (as
     /// produced by [`GroupSa::user_latent_frozen`]); pass `&[]` to
@@ -325,63 +195,22 @@ impl GroupSa {
         mask: Option<&Matrix>,
         mut latent_of: impl FnMut(usize) -> Option<Matrix>,
     ) -> Matrix {
-        assert!(!members.is_empty(), "group has no members");
-        let mut x = match self.cfg.voting_input {
-            crate::config::VotingInput::Embedding => self.emb_user.lookup_inference(&self.store, members),
-            crate::config::VotingInput::Enhanced => {
-                let mut rows: Option<Matrix> = None;
-                for &u in members {
-                    let rep = match latent_of(u) {
-                        Some(h) => h,
-                        None => self.emb_user.lookup_inference(&self.store, &[u]),
-                    };
-                    rows = Some(match rows {
-                        None => rep,
-                        Some(acc) => acc.concat_rows(&rep),
-                    });
-                }
-                rows.expect("non-empty group")
-            }
-        }; // l×d
-        if self.cfg.ablation.voting {
-            for layer in &self.voting {
-                x = layer.forward_inference(&self.store, &x, mask);
-            }
-        }
-        x
+        let f = &mut Eager;
+        let inputs = self.member_inputs(f, members, |_, u| latent_of(u).map(Cow::Owned));
+        // Dropout is off outside training, so the RNG is never drawn.
+        self.vote(f, &mut seeded(0), inputs, mask, false).into_owned()
     }
 
-    /// Tape-free twin of the group-task scores (Eq. 7–10, 20), taking
-    /// the precomputed post-voting member representations — pass the
-    /// cached result of [`GroupSa::member_reps_frozen`]. Per item this
-    /// is one item-conditioned γ attention over `l` members plus one
-    /// tower evaluation.
+    /// The group-task scores (Eq. 7–10, 20), taking the precomputed
+    /// post-voting member representations — pass the cached result of
+    /// [`GroupSa::member_reps_frozen`]. Per item this is one
+    /// item-conditioned γ attention over `l` members plus one tower
+    /// evaluation.
     ///
     /// # Panics
     /// If `items` is empty or any id is out of range.
     pub fn score_group_items_frozen(&self, post_reps: &Matrix, items: &[usize]) -> Vec<f32> {
-        assert!(!items.is_empty(), "score_group_items_frozen: no items to score");
-        let l = post_reps.rows();
-        let ev_all = self.emb_item.lookup_inference(&self.store, items); // n×d
-        let tower = if self.cfg.lean_group_head { &self.pred_user } else { &self.pred_group };
-        (0..items.len())
-            .map(|idx| {
-                let ev = ev_all.slice_rows(idx, 1); // 1×d
-                let ev_rep = ev.repeat_rows(l);
-                let rows = ev_rep.concat_cols(post_reps).concat_cols(&ev_rep.mul_elem(post_reps)); // l×3d
-                let w = self.group_att.weights_inference(&self.store, &rows); // 1×l
-                let agg = w.matmul(post_reps); // 1×d
-                let xg = if self.cfg.lean_group_head {
-                    agg
-                } else {
-                    let mut lin = self.group_out.forward_inference(&self.store, &agg);
-                    lin.map_inplace(ops::relu);
-                    lin
-                };
-                let cat = xg.concat_cols(&ev).concat_cols(&xg.mul_elem(&ev)); // 1×3d
-                tower.forward_inference(&self.store, &cat).scalar()
-            })
-            .collect()
+        self.group_scores(&mut Eager, &Cow::Borrowed(post_reps), items).into_owned().into_vec()
     }
 }
 

@@ -7,7 +7,7 @@ use groupsa_nn::{
     Embedding, Init, Linear, Mlp, ParamStore, TransformerLayer, VanillaAttention,
 };
 use groupsa_tensor::rng::seeded;
-use groupsa_tensor::Graph;
+use groupsa_tensor::{Forward, Graph, Matrix};
 
 /// The GroupSA model: four embedding tables, the user-modeling
 /// aggregators, the stacked social self-attention voting network, and
@@ -124,6 +124,26 @@ impl GroupSa {
         &mut self.store
     }
 
+    /// Number of users the embedding tables were built for.
+    pub fn num_users(&self) -> usize {
+        self.emb_user.count()
+    }
+
+    /// Number of items the embedding tables were built for.
+    pub fn num_items(&self) -> usize {
+        self.emb_item.count()
+    }
+
+    /// The shared user embedding table `embᵁ` (`num_users×d`).
+    pub fn user_embedding_table(&self) -> &Matrix {
+        self.store.value(self.emb_user.slot())
+    }
+
+    /// The shared item embedding table `embⱽ` (`num_items×d`).
+    pub fn item_embedding_table(&self) -> &Matrix {
+        self.store.value(self.emb_item.slot())
+    }
+
     /// Total scalar parameter count.
     pub fn num_parameters(&self) -> usize {
         self.store.num_scalars()
@@ -154,6 +174,15 @@ impl GroupSa {
     pub fn group_scorer<'a>(&'a self, ctx: &'a DataContext) -> impl Scorer + 'a {
         move |group: usize, items: &[usize]| self.score_group_items(ctx, group, items)
     }
+}
+
+/// The `[a ⊕ b ⊕ a⊙b]` feature rows the prediction towers and the
+/// member attention γ read (see the implementation note on
+/// [`GroupSa`]); `a` and `b` have the same shape.
+pub(crate) fn pair_features<'p, F: Forward<'p>>(f: &mut F, a: &F::Value, b: &F::Value) -> F::Value {
+    let cat = f.concat_cols(a, b);
+    let prod = f.mul_elem(a, b);
+    f.concat_cols(&cat, &prod)
 }
 
 #[cfg(test)]

@@ -2,65 +2,61 @@
 //! and the blended user-task scores (Eq. 22–23).
 
 use crate::context::DataContext;
-use crate::model::GroupSa;
-use groupsa_tensor::{Graph, NodeId};
+use crate::model::{pair_features, GroupSa};
+use groupsa_nn::{Embedding, Linear, VanillaAttention};
+use groupsa_tensor::{Forward, Graph, NodeId};
 
 impl GroupSa {
-    /// Records the item-aggregation branch `hⱽ_j` (Eq. 11–14): an
-    /// attention over the user's Top-H TF-IDF items in item-space,
-    /// guided by the user's embedding, then `σ(W·agg + b)`.
+    /// One attention-aggregation branch over a user's Top-H neighbours
+    /// `ids`, guided by the user's embedding `emb_u`: the
+    /// item-aggregation branch `hⱽ_j` (Eq. 11–14, over items in
+    /// item-space) or the social-aggregation branch `hˢ_j` (Eq. 15–18,
+    /// over friends in social-space), then `σ(W·agg + b)`.
     ///
-    /// Returns `None` when the branch is ablated or the user has no
-    /// interacted items.
-    fn item_aggregation_graph(&self, g: &mut Graph, ctx: &DataContext, user: usize, emb_u: NodeId) -> Option<NodeId> {
-        if !self.cfg.ablation.item_aggregation {
+    /// Returns `None` when the user has no neighbours.
+    fn neighbour_aggregation<'p, F: Forward<'p>>(
+        &'p self,
+        f: &mut F,
+        (space, att, out): (&Embedding, &VanillaAttention, &Linear),
+        ids: &[usize],
+        emb_u: &F::Value,
+    ) -> Option<F::Value> {
+        if ids.is_empty() {
             return None;
         }
-        let items = &ctx.top_items[user];
-        if items.is_empty() {
-            return None;
-        }
-        let xs = self.lat_item.lookup(g, &self.store, items); // H×d
-        let eu_rep = g.repeat_rows(emb_u, items.len());
-        let rows = g.concat_cols(eu_rep, xs); // H×2d — [embᵁ_j ⊕ xⱽ_h]
-        let agg = self.item_att.aggregate(g, &self.store, rows, xs); // 1×d
-        let lin = self.item_agg_out.forward(g, &self.store, agg);
-        Some(g.relu(lin))
+        let xs = space.lookup(f, &self.store, ids); // H×d
+        let eu_rep = f.repeat_rows(emb_u, ids.len());
+        let rows = f.concat_cols(&eu_rep, &xs); // H×2d — [embᵁ_j ⊕ x_h]
+        let agg = att.aggregate(f, &self.store, &rows, &xs); // 1×d
+        let lin = out.forward(f, &self.store, &agg);
+        Some(f.relu(lin))
     }
 
-    /// Records the social-aggregation branch `hˢ_j` (Eq. 15–18) over
-    /// the user's Top-H TF-IDF friends in social-space.
-    fn social_aggregation_graph(&self, g: &mut Graph, ctx: &DataContext, user: usize, emb_u: NodeId) -> Option<NodeId> {
-        if !self.cfg.ablation.social_aggregation {
+    /// The final user latent factor `h_j` (Eq. 19) from the user's
+    /// Top-H item and friend lists: the fusion MLP over `[hⱽ ⊕ hˢ]`,
+    /// degrading gracefully to a single branch when the other is
+    /// ablated or empty, and to `None` when neither is available.
+    pub(crate) fn user_latent<'p, F: Forward<'p>>(
+        &'p self,
+        f: &mut F,
+        user: usize,
+        top_items: &[usize],
+        top_friends: &[usize],
+    ) -> Option<F::Value> {
+        let ablation = &self.cfg.ablation;
+        if !ablation.user_modeling() {
             return None;
         }
-        let friends = &ctx.top_friends[user];
-        if friends.is_empty() {
-            return None;
-        }
-        let xs = self.lat_social.lookup(g, &self.store, friends); // H×d
-        let eu_rep = g.repeat_rows(emb_u, friends.len());
-        let rows = g.concat_cols(eu_rep, xs); // H×2d — [embᵁ_j ⊕ xˢ_j']
-        let agg = self.social_att.aggregate(g, &self.store, rows, xs); // 1×d
-        let lin = self.social_agg_out.forward(g, &self.store, agg);
-        Some(g.relu(lin))
-    }
-
-    /// Records the final user latent factor `h_j` (Eq. 19): the fusion
-    /// MLP over `[hⱽ ⊕ hˢ]`, degrading gracefully to a single branch
-    /// when the other is ablated or empty, and to `None` when neither
-    /// is available.
-    pub(crate) fn user_latent_graph(&self, g: &mut Graph, ctx: &DataContext, user: usize) -> Option<NodeId> {
-        if !self.cfg.ablation.user_modeling() {
-            return None;
-        }
-        let emb_u = self.emb_user.lookup(g, &self.store, &[user]); // 1×d
-        let hv = self.item_aggregation_graph(g, ctx, user, emb_u);
-        let hs = self.social_aggregation_graph(g, ctx, user, emb_u);
+        let emb_u = self.emb_user.lookup(f, &self.store, &[user]); // 1×d
+        let items = (&self.lat_item, &self.item_att, &self.item_agg_out);
+        let friends = (&self.lat_social, &self.social_att, &self.social_agg_out);
+        let hv = if ablation.item_aggregation { self.neighbour_aggregation(f, items, top_items, &emb_u) } else { None };
+        let hs =
+            if ablation.social_aggregation { self.neighbour_aggregation(f, friends, top_friends, &emb_u) } else { None };
         match (hv, hs) {
             (Some(hv), Some(hs)) => {
-                let cat = g.concat_cols(hv, hs); // 1×2d
-                Some(self.fusion.forward(g, &self.store, cat))
+                let cat = f.concat_cols(&hv, &hs); // 1×2d
+                Some(self.fusion.forward(f, &self.store, &cat))
             }
             (Some(hv), None) => Some(hv),
             (None, Some(hs)) => Some(hs),
@@ -68,22 +64,31 @@ impl GroupSa {
         }
     }
 
-    /// Records the user-task scores of `items` (Eq. 22–23):
+    /// The user-task scores of `items` (Eq. 22–23):
     /// `r = (1 − wᵘ)·MLP([embᵁ ⊕ embⱽ]) + wᵘ·MLP([h ⊕ xⱽ])`, both
-    /// through the *same* prediction tower. Falls back to `r₁` when
-    /// user modeling yields nothing for this user or `wᵘ = 0`.
+    /// through the *same* prediction tower. `latent` supplies the
+    /// user's latent factor `h` — computed in place on a tape, or a
+    /// cached row when serving — and is only asked for when `wᵘ ≠ 0`.
+    /// Falls back to `r₁` when it yields nothing.
     ///
-    /// Returns an `items.len()×1` node.
-    pub(crate) fn user_scores_graph(&self, g: &mut Graph, ctx: &DataContext, user: usize, items: &[usize]) -> NodeId {
-        assert!(!items.is_empty(), "user_scores_graph: no items to score");
+    /// Returns an `items.len()×1` value.
+    ///
+    /// # Panics
+    /// If `items` is empty or any id is out of range.
+    pub(crate) fn user_scores<'p, F: Forward<'p>>(
+        &'p self,
+        f: &mut F,
+        user: usize,
+        items: &[usize],
+        latent: impl FnOnce(&mut F) -> Option<F::Value>,
+    ) -> F::Value {
+        assert!(!items.is_empty(), "user scores: no items to score");
         let n = items.len();
-        let emb_u = self.emb_user.lookup(g, &self.store, &[user]); // 1×d
-        let eu_rep = g.repeat_rows(emb_u, n);
-        let ev = self.emb_item.lookup(g, &self.store, items); // n×d
-        let cat1 = g.concat_cols(eu_rep, ev);
-        let prod1 = g.mul_elem(eu_rep, ev);
-        let cat1 = g.concat_cols(cat1, prod1); // n×3d — [embᵁ ⊕ embⱽ ⊕ embᵁ⊙embⱽ]
-        let r1 = self.pred_user.forward(g, &self.store, cat1); // n×1
+        let emb_u = self.emb_user.lookup(f, &self.store, &[user]); // 1×d
+        let eu_rep = f.repeat_rows(&emb_u, n);
+        let ev = self.emb_item.lookup(f, &self.store, items); // n×d
+        let cat1 = pair_features(f, &eu_rep, &ev); // n×3d
+        let r1 = self.pred_user.forward(f, &self.store, &cat1); // n×1
 
         let w = self.cfg.w_u;
         // Exact-zero gate on a config weight (w_u = 0.0 disables the
@@ -91,19 +96,29 @@ impl GroupSa {
         if w == 0.0 { // lint: allow(float-eq)
             return r1;
         }
-        let Some(h) = self.user_latent_graph(g, ctx, user) else {
+        let Some(h) = latent(f) else {
             return r1;
         };
-        let h_rep = g.repeat_rows(h, n);
-        let xv = self.lat_item.lookup(g, &self.store, items); // n×d
-        let cat2 = g.concat_cols(h_rep, xv);
-        let prod2 = g.mul_elem(h_rep, xv);
-        let cat2 = g.concat_cols(cat2, prod2); // n×3d
-        let r2 = self.pred_user.forward(g, &self.store, cat2); // n×1
+        let h_rep = f.repeat_rows(&h, n);
+        let xv = self.lat_item.lookup(f, &self.store, items); // n×d
+        let cat2 = pair_features(f, &h_rep, &xv); // n×3d
+        let r2 = self.pred_user.forward(f, &self.store, &cat2); // n×1
 
-        let a = g.scale(r1, 1.0 - w);
-        let b = g.scale(r2, w);
-        g.add(a, b)
+        let a = f.scale(r1, 1.0 - w);
+        let b = f.scale(r2, w);
+        f.add(&a, &b)
+    }
+
+    /// Records [`GroupSa::user_latent`] for `user` on `g`, reading the
+    /// Top-H lists from `ctx`.
+    pub(crate) fn user_latent_graph(&self, g: &mut Graph, ctx: &DataContext, user: usize) -> Option<NodeId> {
+        self.user_latent(g, user, &ctx.top_items[user], &ctx.top_friends[user])
+    }
+
+    /// Records [`GroupSa::user_scores`] on `g`, computing the latent
+    /// factor on the same tape.
+    pub(crate) fn user_scores_graph(&self, g: &mut Graph, ctx: &DataContext, user: usize, items: &[usize]) -> NodeId {
+        self.user_scores(g, user, items, |g| self.user_latent_graph(g, ctx, user))
     }
 }
 

@@ -2,81 +2,80 @@
 //! a group's members, then item-conditioned aggregation into the group
 //! representation and the group-task score (Eq. 1–10, 20).
 
+use crate::config::VotingInput;
 use crate::context::DataContext;
-use crate::model::GroupSa;
-use groupsa_tensor::{Graph, NodeId};
+use crate::model::{pair_features, GroupSa};
+use groupsa_tensor::{Eager, Forward, Graph, Matrix, NodeId};
 use rand::Rng;
+use std::borrow::Cow;
 
 impl GroupSa {
-    /// Records the member representations before and after the voting
-    /// network: the member inputs (enhanced latents or embeddings) run
-    /// through `N_X` social self-attention rounds (Eq. 1–6). With
-    /// voting ablated (Group-A / Group-S) the post-voting output equals
-    /// the input.
+    /// The `l×d` inputs of the voting network for `members`: their raw
+    /// embeddings, or — with [`VotingInput::Enhanced`] — each member's
+    /// enhanced latent factor `h_j` (Eq. 19) from `latent_of`, falling
+    /// back to `embᵁ_j` for cold users.
     ///
-    /// Returns `(pre, post)` — both `l×d`. §I's narrative assigns the
-    /// two distinct roles: the voting outputs decide *who is heard*
-    /// (they condition the γ weights), while each member's own
-    /// representation carries *what they want* (the aggregation
-    /// values).
-    pub(crate) fn member_reps_graph(
-        &self,
-        g: &mut Graph,
-        rng: &mut impl Rng,
-        ctx: &DataContext,
-        group: usize,
-        training: bool,
-    ) -> (NodeId, NodeId) {
-        let members = &ctx.members[group];
-        assert!(!members.is_empty(), "group {group} has no members");
-        let mut x = match self.cfg.voting_input {
-            crate::config::VotingInput::Embedding => self.emb_user.lookup(g, &self.store, members),
-            crate::config::VotingInput::Enhanced => {
-                // Stack each member's enhanced latent factor h_j
-                // (Eq. 19), falling back to emb_j^U for cold users.
-                let mut rows: Option<groupsa_tensor::NodeId> = None;
-                for &u in members {
-                    let rep = match self.user_latent_graph(g, ctx, u) {
-                        Some(h) => h,
-                        None => self.emb_user.lookup(g, &self.store, &[u]),
-                    };
-                    rows = Some(match rows {
-                        None => rep,
-                        Some(acc) => g.concat_rows(acc, rep),
-                    });
+    /// # Panics
+    /// If `members` is empty.
+    pub(crate) fn member_inputs<'p, F: Forward<'p>>(
+        &'p self,
+        f: &mut F,
+        members: &[usize],
+        mut latent_of: impl FnMut(&mut F, usize) -> Option<F::Value>,
+    ) -> F::Value {
+        assert!(!members.is_empty(), "group has no members");
+        match self.cfg.voting_input {
+            VotingInput::Embedding => self.emb_user.lookup(f, &self.store, members),
+            VotingInput::Enhanced => f.stack_rows(members.len(), |f, i| {
+                let u = members[i];
+                match latent_of(f, u) {
+                    Some(h) => h,
+                    None => self.emb_user.lookup(f, &self.store, &[u]),
                 }
-                rows.expect("non-empty group")
-            }
-        }; // l×d
-        let pre = x;
-        if self.cfg.ablation.voting {
-            let mask = ctx.group_masks[group].as_ref();
-            for layer in &self.voting {
-                x = layer.forward(g, &self.store, rng, x, mask, training);
-            }
+            }),
         }
-        (pre, x)
     }
 
-    /// Records the group representation for one candidate item
-    /// (Eq. 7–10): the vanilla attention scores each member against the
-    /// item embedding (`γ_{t,i}` from `[embⱽ_h ⊕ x_{t,i}]`), the
-    /// weighted sum is pushed through `σ(W·agg + b)`.
+    /// The voting network (Eq. 1–6): the member inputs `x` through the
+    /// `N_X` social self-attention rounds under the group's social bias
+    /// `mask`. With voting ablated (Group-A / Group-S) the output is
+    /// the input. Dropout applies only when `training`.
+    pub(crate) fn vote<'p, F: Forward<'p>>(
+        &'p self,
+        f: &mut F,
+        rng: &mut impl Rng,
+        mut x: F::Value,
+        mask: Option<&Matrix>,
+        training: bool,
+    ) -> F::Value {
+        if self.cfg.ablation.voting {
+            for layer in &self.voting {
+                x = layer.forward(f, &self.store, rng, &x, mask, training);
+            }
+        }
+        x
+    }
+
+    /// The member attention `γ_{t,i}` (Eq. 8–10) for one candidate
+    /// item: the vanilla attention scores each post-voting member
+    /// representation against the `1×d` item embedding `ev` from
+    /// `[embⱽ_h ⊕ x_{t,i} ⊕ ⊙]`. Returns the `1×l` weight row.
     ///
-    /// `member_reps` is the `l×d` output of
-    /// [`GroupSa::member_reps_graph`]; `item_emb` is a `1×d` node.
-    fn group_rep_graph(&self, g: &mut Graph, pre_reps: NodeId, post_reps: NodeId, item_emb: NodeId) -> NodeId {
-        let l = g.value(post_reps).rows();
-        let ev_rep = g.repeat_rows(item_emb, l); // l×d
-        let rows = g.concat_cols(ev_rep, post_reps);
-        let prod = g.mul_elem(ev_rep, post_reps);
-        let rows = g.concat_cols(rows, prod); // l×3d — [embⱽ_h ⊕ x_{t,i} ⊕ ⊙]
-        // γ from the voting outputs, aggregating the voting outputs
-        // (Eq. 8); `pre_reps` is kept for the Group-A degenerate path
-        // where voting is ablated and pre == post.
-        let _ = pre_reps;
-        let w = self.group_att.weights(g, &self.store, rows); // 1×l
-        let agg = g.matmul(w, post_reps); // 1×d
+    /// §I's narrative assigns the voting outputs their role here: they
+    /// decide *who is heard*.
+    fn member_attention<'p, F: Forward<'p>>(&'p self, f: &mut F, post_reps: &F::Value, ev: &F::Value) -> F::Value {
+        let l = f.value(post_reps).rows();
+        let ev_rep = f.repeat_rows(ev, l); // l×d
+        let rows = pair_features(f, &ev_rep, post_reps); // l×3d
+        self.group_att.weights(f, &self.store, &rows)
+    }
+
+    /// The group representation for one candidate item (Eq. 7): the
+    /// γ-weighted sum of the voting outputs, pushed through
+    /// `σ(W·agg + b)`.
+    fn group_rep<'p, F: Forward<'p>>(&'p self, f: &mut F, post_reps: &F::Value, ev: &F::Value) -> F::Value {
+        let w = self.member_attention(f, post_reps, ev); // 1×l
+        let agg = f.matmul(&w, post_reps); // 1×d
         if self.cfg.lean_group_head {
             // Lean head: the γ-weighted member aggregate *is* the group
             // representation, staying in the space the shared tower
@@ -84,17 +83,34 @@ impl GroupSa {
             agg
         } else {
             // Paper-literal Eq. (7): x_G = σ(W·agg + b).
-            let lin = self.group_out.forward(g, &self.store, agg);
-            g.relu(lin)
+            let lin = self.group_out.forward(f, &self.store, &agg);
+            f.relu(lin)
         }
     }
 
-    /// Records the group-task scores of `items` for `group`
-    /// (Eq. 20): each candidate gets its own item-conditioned group
-    /// representation, concatenated with the item embedding and scored
-    /// by the group prediction tower.
+    /// The group-task scores of `items` (Eq. 20) from the group's
+    /// post-voting member representations: each candidate gets its own
+    /// item-conditioned group representation, paired with the item
+    /// embedding and scored by the group prediction tower.
     ///
-    /// Returns an `items.len()×1` node.
+    /// Returns an `items.len()×1` value.
+    ///
+    /// # Panics
+    /// If `items` is empty or any id is out of range.
+    pub(crate) fn group_scores<'p, F: Forward<'p>>(&'p self, f: &mut F, post_reps: &F::Value, items: &[usize]) -> F::Value {
+        assert!(!items.is_empty(), "group scores: no items to score");
+        let ev_all = self.emb_item.lookup(f, &self.store, items); // n×d
+        let tower = if self.cfg.lean_group_head { &self.pred_user } else { &self.pred_group };
+        f.stack_rows(items.len(), |f, idx| {
+            let ev = f.slice_rows(&ev_all, idx, 1); // 1×d
+            let xg = self.group_rep(f, post_reps, &ev); // 1×d
+            let cat = pair_features(f, &xg, &ev); // 1×3d
+            tower.forward(f, &self.store, &cat) // 1×1
+        })
+    }
+
+    /// Records the group-task scores of `items` for `group` on `g`,
+    /// voting network (and enhanced member inputs) included.
     pub(crate) fn group_scores_graph(
         &self,
         g: &mut Graph,
@@ -104,41 +120,19 @@ impl GroupSa {
         items: &[usize],
         training: bool,
     ) -> NodeId {
-        assert!(!items.is_empty(), "group_scores_graph: no items to score");
-        let (pre_reps, post_reps) = self.member_reps_graph(g, rng, ctx, group, training);
-        let ev_all = self.emb_item.lookup(g, &self.store, items); // n×d
-        let mut scores: Option<NodeId> = None;
-        for idx in 0..items.len() {
-            let ev = g.slice_rows(ev_all, idx, 1); // 1×d
-            let xg = self.group_rep_graph(g, pre_reps, post_reps, ev); // 1×d
-            let cat = g.concat_cols(xg, ev);
-            let prod = g.mul_elem(xg, ev);
-            let cat = g.concat_cols(cat, prod); // 1×3d
-            let tower = if self.cfg.lean_group_head { &self.pred_user } else { &self.pred_group };
-            let s = tower.forward(g, &self.store, cat); // 1×1
-            scores = Some(match scores {
-                None => s,
-                Some(acc) => g.concat_rows(acc, s),
-            });
-        }
-        scores.expect("items is non-empty")
+        let inputs = self.member_inputs(g, &ctx.members[group], |g, u| self.user_latent_graph(g, ctx, u));
+        let post_reps = self.vote(g, rng, inputs, ctx.group_masks[group].as_ref(), training);
+        self.group_scores(g, &post_reps, items)
     }
 
-    /// Gradient-free member attention weights `γ_{t,i}` (Eq. 10) for a
-    /// given candidate item — the per-member influence the Table IV
-    /// case study reports.
+    /// Member attention weights `γ_{t,i}` (Eq. 10) for a given
+    /// candidate item — the per-member influence the Table IV case
+    /// study reports.
     pub fn member_weights(&self, ctx: &DataContext, group: usize, item: usize) -> Vec<f32> {
-        let mut g = Graph::new();
-        let mut rng = groupsa_tensor::rng::seeded(0);
-        let (_, post_reps) = self.member_reps_graph(&mut g, &mut rng, ctx, group, false);
-        let ev = self.emb_item.lookup(&mut g, &self.store, &[item]); // 1×d
-        let l = g.value(post_reps).rows();
-        let ev_rep = g.repeat_rows(ev, l);
-        let rows = g.concat_cols(ev_rep, post_reps);
-        let prod = g.mul_elem(ev_rep, post_reps);
-        let rows = g.concat_cols(rows, prod);
-        let w = self.group_att.weights(&mut g, &self.store, rows); // 1×l
-        g.value(w).as_slice().to_vec()
+        let post_reps = Cow::Owned(self.member_reps_frozen(ctx, group, &[]));
+        let f = &mut Eager;
+        let ev = self.emb_item.lookup(f, &self.store, &[item]); // 1×d
+        self.member_attention(f, &post_reps, &ev).into_owned().into_vec()
     }
 }
 
@@ -149,14 +143,19 @@ mod tests {
     use crate::test_fixtures::tiny_world;
     use groupsa_tensor::rng::seeded;
 
+    /// Records group `t`'s member inputs and voting outputs on `g`.
+    fn member_reps(model: &GroupSa, g: &mut Graph, ctx: &DataContext, t: usize) -> (NodeId, NodeId) {
+        let pre = model.member_inputs(g, &ctx.members[t], |g, u| model.user_latent_graph(g, ctx, u));
+        (pre, model.vote(g, &mut seeded(0), pre, ctx.group_masks[t].as_ref(), false))
+    }
+
     #[test]
     fn member_reps_shape_matches_group_size() {
         let (d, ctx) = tiny_world(11);
         let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
         for t in 0..3 {
             let mut g = Graph::new();
-            let mut rng = seeded(0);
-            let (pre, post) = model.member_reps_graph(&mut g, &mut rng, &ctx, t, false);
+            let (pre, post) = member_reps(&model, &mut g, &ctx, t);
             assert_eq!(g.value(pre).shape(), (ctx.members[t].len(), 8));
             assert_eq!(g.value(post).shape(), (ctx.members[t].len(), 8));
             assert!(g.value(post).is_finite());
@@ -173,9 +172,8 @@ mod tests {
         let ctx = DataContext::from_train_view(&d, &cfg);
         let model = GroupSa::new(cfg, d.num_users, d.num_items);
         let mut g = Graph::new();
-        let mut rng = seeded(0);
-        let (pre, post) = model.member_reps_graph(&mut g, &mut rng, &ctx, 0, false);
-        let raw = model.emb_user.lookup_inference(model.store(), &ctx.members[0]);
+        let (pre, post) = member_reps(&model, &mut g, &ctx, 0);
+        let raw = model.emb_user.lookup(&mut Eager, model.store(), &ctx.members[0]);
         assert!(g.value(pre).approx_eq(&raw, 1e-6), "embedding input must be raw");
         assert!(g.value(post).approx_eq(&raw, 1e-6), "ablated voting must be identity");
     }
@@ -188,9 +186,8 @@ mod tests {
         let ctx = DataContext::from_train_view(&d, &cfg);
         let model = GroupSa::new(cfg, d.num_users, d.num_items);
         let mut g = Graph::new();
-        let mut rng = seeded(0);
-        let (pre, _) = model.member_reps_graph(&mut g, &mut rng, &ctx, 0, false);
-        let raw = model.emb_user.lookup_inference(model.store(), &ctx.members[0]);
+        let (pre, _) = member_reps(&model, &mut g, &ctx, 0);
+        let raw = model.emb_user.lookup(&mut Eager, model.store(), &ctx.members[0]);
         assert!(!g.value(pre).approx_eq(&raw, 1e-3), "enhanced input must use user modeling");
     }
 
@@ -199,8 +196,7 @@ mod tests {
         let (d, ctx) = tiny_world(11);
         let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
         let mut g = Graph::new();
-        let mut rng = seeded(0);
-        let (pre, post) = model.member_reps_graph(&mut g, &mut rng, &ctx, 0, false);
+        let (pre, post) = member_reps(&model, &mut g, &ctx, 0);
         assert!(!g.value(post).approx_eq(g.value(pre), 1e-3), "voting layers must transform the input");
     }
 

@@ -197,10 +197,6 @@ pub const ATOMIC_SITES: &[AtomicEntry] = &[
      "cache statistic; no reader infers other state from it"),
     ("crates/serve/src/frozen.rs", "latent_hits", "load", "Relaxed",
      "statistic read; staleness is acceptable"),
-    ("crates/serve/src/frozen.rs", "rebuilds", "fetch_add", "Relaxed",
-     "cache statistic; no reader infers other state from it"),
-    ("crates/serve/src/frozen.rs", "rebuilds", "load", "Relaxed",
-     "statistic read; staleness is acceptable"),
     ("crates/serve/src/frozen.rs", "rep_hits", "fetch_add", "Relaxed",
      "cache statistic; no reader infers other state from it"),
     ("crates/serve/src/frozen.rs", "rep_hits", "load", "Relaxed",

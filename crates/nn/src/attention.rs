@@ -16,27 +16,30 @@
 
 use crate::{Dropout, FeedForward, Init, LayerNorm, Linear, ParamStore};
 use groupsa_obs::{Histogram, ScopedTimer};
-use groupsa_tensor::{ops, Graph, Matrix, NodeId};
+use groupsa_tensor::{Forward, Matrix};
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
 
-/// A per-call timer into the named histogram of the process-wide
-/// metrics registry — `None` (one atomic load, no clock read) unless
-/// `GROUPSA_TRACE` is on. The `Arc` handle is cached in `slot`, so the
-/// registry lock is taken once per histogram per process.
-fn layer_timer(slot: &'static OnceLock<Arc<Histogram>>, name: &'static str) -> Option<ScopedTimer<'static>> {
+/// A per-call timer into one of a layer's two histograms in the
+/// process-wide metrics registry: `names[0]` (`*.forward_us`) for calls
+/// recorded on a tape, `names[1]` (`*.infer_us`) for eager ones —
+/// `None` (one atomic load, no clock read) unless `GROUPSA_TRACE` is on.
+/// The `Arc` handles are cached in `slots`, so the registry lock is
+/// taken once per histogram per process.
+fn layer_timer<'p, F: Forward<'p>>(
+    slots: &'static [OnceLock<Arc<Histogram>>; 2],
+    names: [&'static str; 2],
+) -> Option<ScopedTimer<'static>> {
     if !groupsa_obs::enabled() {
         return None;
     }
-    groupsa_obs::maybe_timer(slot.get_or_init(|| groupsa_obs::global().histogram(name)))
+    let i = usize::from(!F::TAPE);
+    groupsa_obs::maybe_timer(slots[i].get_or_init(|| groupsa_obs::global().histogram(names[i])))
 }
 
-static ATTN_FORWARD: OnceLock<Arc<Histogram>> = OnceLock::new();
-static ATTN_INFER: OnceLock<Arc<Histogram>> = OnceLock::new();
-static VOTING_FORWARD: OnceLock<Arc<Histogram>> = OnceLock::new();
-static VOTING_INFER: OnceLock<Arc<Histogram>> = OnceLock::new();
-static VANILLA_FORWARD: OnceLock<Arc<Histogram>> = OnceLock::new();
-static VANILLA_INFER: OnceLock<Arc<Histogram>> = OnceLock::new();
+static ATTENTION: [OnceLock<Arc<Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
+static VOTING_ROUND: [OnceLock<Arc<Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
+static VANILLA: [OnceLock<Arc<Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
 
 /// Builds the `{0, −∞}` additive mask of paper Eq. (5) from a boolean
 /// adjacency: `allowed[i][j] == true` keeps the attention edge `i → j`.
@@ -83,47 +86,33 @@ impl SelfAttention {
         Self { wq, wk, wv, d_k }
     }
 
-    /// Records the forward pass: `x` is `l×d_model`, `mask` (if given) is
-    /// an `l×l` additive bias (`0` or `−∞`). Returns the `l×d_model`
-    /// sub-group representations `z_i` of Eq. (3).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId, mask: Option<&Matrix>) -> NodeId {
-        let _t = layer_timer(&ATTN_FORWARD, "nn.attention.forward_us");
-        let wq = g.param_full(self.wq, store.value(self.wq));
-        let wk = g.param_full(self.wk, store.value(self.wk));
-        let wv = g.param_full(self.wv, store.value(self.wv));
-        let q = g.matmul(x, wq);
-        let k = g.matmul(x, wk);
-        let v = g.matmul(x, wv);
-        let kt = g.transpose(k);
-        let scores = g.matmul(q, kt);
-        let scores = g.scale(scores, 1.0 / (self.d_k as f32).sqrt());
+    /// The forward pass: `x` is `l×d_model`, `mask` (if given) is an
+    /// `l×l` additive bias (`0` or `−∞`). Returns the `l×d_model`
+    /// sub-group representations `z_i` of Eq. (3) and the `l×l`
+    /// attention distribution (the Table IV case-study diagnostics).
+    pub fn forward<'p, F: Forward<'p>>(
+        &self,
+        f: &mut F,
+        store: &'p ParamStore,
+        x: &F::Value,
+        mask: Option<&Matrix>,
+    ) -> (F::Value, F::Value) {
+        let _t = layer_timer::<F>(&ATTENTION, ["nn.attention.forward_us", "nn.attention.infer_us"]);
+        let wq = f.param_full(self.wq, store.value(self.wq));
+        let wk = f.param_full(self.wk, store.value(self.wk));
+        let wv = f.param_full(self.wv, store.value(self.wv));
+        let q = f.matmul(x, &wq);
+        let k = f.matmul(x, &wk);
+        let v = f.matmul(x, &wv);
+        let scores = f.matmul_transpose_b(&q, &k);
+        let scores = f.scale(scores, 1.0 / (self.d_k as f32).sqrt());
         let scores = match mask {
-            Some(m) => g.add_const(scores, m),
+            Some(m) => f.add_const(scores, m),
             None => scores,
         };
-        let attn = g.softmax_rows(scores);
-        g.matmul(attn, v)
-    }
-
-    /// Gradient-free forward pass; also returns the `l×l` attention
-    /// distribution (used by the Table IV case-study explainer).
-    pub fn forward_inference(&self, store: &ParamStore, x: &Matrix, mask: Option<&Matrix>) -> (Matrix, Matrix) {
-        let _t = layer_timer(&ATTN_INFER, "nn.attention.infer_us");
-        let q = x.matmul(store.value(self.wq));
-        let k = x.matmul(store.value(self.wk));
-        let v = x.matmul(store.value(self.wv));
-        // Scale, mask-add and softmax all mutate the score matrix in
-        // place — same values as the allocating chain this replaces
-        // (`scale` → `zip_map` → `softmax_rows`), minus three `l×l`
-        // allocations on the serve hot path.
-        let mut scores = q.matmul_transpose_b(&k);
-        scores.scale_assign(1.0 / (self.d_k as f32).sqrt());
-        if let Some(m) = mask {
-            scores.add_assign(m);
-        }
-        ops::softmax_rows_inplace(&mut scores);
-        let z = scores.matmul(&v);
-        (z, scores)
+        let attn = f.softmax_rows(scores);
+        let z = f.matmul(&attn, &v);
+        (z, attn)
     }
 }
 
@@ -159,41 +148,27 @@ impl TransformerLayer {
         }
     }
 
-    /// Records one voting round for the `l×d_model` member matrix `x`.
-    pub fn forward(
+    /// One voting round for the `l×d_model` member matrix `x`.
+    /// Dropout applies only when `training`.
+    pub fn forward<'p, F: Forward<'p>>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        f: &mut F,
+        store: &'p ParamStore,
         rng: &mut impl Rng,
-        x: NodeId,
+        x: &F::Value,
         mask: Option<&Matrix>,
         training: bool,
-    ) -> NodeId {
-        let _t = layer_timer(&VOTING_FORWARD, "nn.voting_round.forward_us");
-        let z = self.attn.forward(g, store, x, mask);
-        let z = self.dropout.forward(g, rng, z, training);
-        let res = g.add(x, z);
-        let h = self.ln1.forward(g, store, res);
+    ) -> F::Value {
+        let _t = layer_timer::<F>(&VOTING_ROUND, ["nn.voting_round.forward_us", "nn.voting_round.infer_us"]);
+        let (z, _) = self.attn.forward(f, store, x, mask);
+        let z = self.dropout.forward(f, rng, z, training);
+        let res = f.add(x, &z);
+        let h = self.ln1.forward(f, store, &res);
 
-        let f = self.ffn.forward(g, store, h);
-        let f = self.dropout.forward(g, rng, f, training);
-        let res2 = g.add(h, f);
-        self.ln2.forward(g, store, res2)
-    }
-
-    /// Gradient-free forward pass.
-    pub fn forward_inference(&self, store: &ParamStore, x: &Matrix, mask: Option<&Matrix>) -> Matrix {
-        let _t = layer_timer(&VOTING_INFER, "nn.voting_round.infer_us");
-        let (z, _) = self.attn.forward_inference(store, x, mask);
-        let h = self.ln1.forward_inference(store, &x.add(&z));
-        let f = self.ffn.forward_inference(store, &h);
-        self.ln2.forward_inference(store, &h.add(&f))
-    }
-
-    /// The attention distribution of this layer's self-attention
-    /// sub-layer (diagnostics / case studies).
-    pub fn attention_weights(&self, store: &ParamStore, x: &Matrix, mask: Option<&Matrix>) -> Matrix {
-        self.attn.forward_inference(store, x, mask).1
+        let ff = self.ffn.forward(f, store, &h);
+        let ff = self.dropout.forward(f, rng, ff, training);
+        let res2 = f.add(&h, &ff);
+        self.ln2.forward(f, store, &res2)
     }
 }
 
@@ -222,46 +197,35 @@ impl VanillaAttention {
         }
     }
 
-    /// Records the raw (pre-softmax) scores as a `1×n` row — exposed so
+    /// The raw (pre-softmax) scores as a `1×n` row — exposed so
     /// callers can add biases (e.g. SIGR's global-influence term)
     /// before normalising.
-    pub fn raw_scores(&self, g: &mut Graph, store: &ParamStore, rows: NodeId) -> NodeId {
-        let h = self.l1.forward(g, store, rows);
-        let h = g.relu(h);
-        let s = self.l2.forward(g, store, h); // n×1
-        g.transpose(s) // 1×n
+    pub fn raw_scores<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, rows: &F::Value) -> F::Value {
+        let h = self.l1.forward(f, store, rows);
+        let h = f.relu(h);
+        let s = self.l2.forward(f, store, &h); // n×1
+        f.transpose(&s) // 1×n
     }
 
-    /// Records the scorer: `rows` is `n×in_dim`; returns the `1×n`
-    /// softmax weight row.
-    pub fn weights(&self, g: &mut Graph, store: &ParamStore, rows: NodeId) -> NodeId {
-        let _t = layer_timer(&VANILLA_FORWARD, "nn.vanilla_attention.forward_us");
-        let s = self.raw_scores(g, store, rows);
-        g.softmax_rows(s)
+    /// The scorer: `rows` is `n×in_dim`; returns the `1×n` softmax
+    /// weight row.
+    pub fn weights<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, rows: &F::Value) -> F::Value {
+        let _t = layer_timer::<F>(&VANILLA, ["nn.vanilla_attention.forward_us", "nn.vanilla_attention.infer_us"]);
+        let s = self.raw_scores(f, store, rows);
+        f.softmax_rows(s)
     }
 
-    /// Records weighted aggregation: softmax weights over `rows`
-    /// (`n×in_dim`) applied to `values` (`n×d`), returning `1×d`.
-    pub fn aggregate(&self, g: &mut Graph, store: &ParamStore, rows: NodeId, values: NodeId) -> NodeId {
-        let w = self.weights(g, store, rows);
-        g.matmul(w, values)
-    }
-
-    /// Gradient-free weights for inference / explanation (activation
-    /// applied in place — no tape, no extra allocation).
-    pub fn weights_inference(&self, store: &ParamStore, rows: &Matrix) -> Matrix {
-        let _t = layer_timer(&VANILLA_INFER, "nn.vanilla_attention.infer_us");
-        let mut h = self.l1.forward_inference(store, rows);
-        h.map_inplace(ops::relu);
-        let s = self.l2.forward_inference(store, &h); // n×1
-        let mut w = s.transpose();
-        ops::softmax_inplace(w.row_mut(0));
-        w
-    }
-
-    /// Gradient-free aggregation.
-    pub fn aggregate_inference(&self, store: &ParamStore, rows: &Matrix, values: &Matrix) -> Matrix {
-        self.weights_inference(store, rows).matmul(values)
+    /// Weighted aggregation: softmax weights over `rows` (`n×in_dim`)
+    /// applied to `values` (`n×d`), returning `1×d`.
+    pub fn aggregate<'p, F: Forward<'p>>(
+        &self,
+        f: &mut F,
+        store: &'p ParamStore,
+        rows: &F::Value,
+        values: &F::Value,
+    ) -> F::Value {
+        let w = self.weights(f, store, rows);
+        f.matmul(&w, values)
     }
 }
 
@@ -270,6 +234,8 @@ mod tests {
     use super::*;
     use groupsa_tensor::check::assert_grad_matches;
     use groupsa_tensor::rng::seeded;
+    use groupsa_tensor::{Eager, Graph};
+    use std::borrow::Cow;
 
     fn members(l: usize, d: usize) -> Matrix {
         Matrix::from_fn(l, d, |r, c| ((r * d + c) as f32 * 0.37).sin())
@@ -300,7 +266,7 @@ mod tests {
         let mut store = ParamStore::new();
         let attn = SelfAttention::new(&mut store, &mut rng, "a", 8, 8);
         let x = members(4, 8);
-        let (_, w) = attn.forward_inference(&store, &x, None);
+        let (_, w) = attn.forward(&mut Eager, &store, &Cow::Borrowed(&x), None);
         for row in w.rows_iter() {
             assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         }
@@ -319,7 +285,7 @@ mod tests {
             vec![false, false, false],
         ];
         let mask = social_bias_mask(&allowed);
-        let (z, w) = attn.forward_inference(&store, &x, Some(&mask));
+        let (z, w) = attn.forward(&mut Eager, &store, &Cow::Borrowed(&x), Some(&mask));
         assert!((w[(2, 2)] - 1.0).abs() < 1e-5, "isolated member weight on self: {}", w[(2, 2)]);
         assert_eq!(w[(2, 0)], 0.0);
         assert_eq!(w[(2, 1)], 0.0);
@@ -336,8 +302,8 @@ mod tests {
         let x = members(4, 6);
         let allowed = vec![vec![true; 4]; 4];
         let mask = social_bias_mask(&allowed);
-        let (z1, _) = attn.forward_inference(&store, &x, None);
-        let (z2, _) = attn.forward_inference(&store, &x, Some(&mask));
+        let (z1, _) = attn.forward(&mut Eager, &store, &Cow::Borrowed(&x), None);
+        let (z2, _) = attn.forward(&mut Eager, &store, &Cow::Borrowed(&x), Some(&mask));
         assert!(z1.approx_eq(&z2, 1e-6));
     }
 
@@ -355,8 +321,8 @@ mod tests {
         let mask = social_bias_mask(&allowed);
         let mut g = Graph::new();
         let xs = g.leaf(x.clone());
-        let y = attn.forward(&mut g, &store, xs, Some(&mask));
-        let (z, _) = attn.forward_inference(&store, &x, Some(&mask));
+        let (y, _) = attn.forward(&mut g, &store, &xs, Some(&mask));
+        let (z, _) = attn.forward(&mut Eager, &store, &Cow::Borrowed(&x), Some(&mask));
         assert!(g.value(y).approx_eq(&z, 1e-5));
     }
 
@@ -375,7 +341,7 @@ mod tests {
         assert_grad_matches(&x0, 1e-2, 5e-2, |m| {
             let mut g = Graph::new();
             let x = g.leaf(m.clone());
-            let z = attn.forward(&mut g, &store, x, Some(&mask));
+            let (z, _) = attn.forward(&mut g, &store, &x, Some(&mask));
             let loss = g.mean_all(z);
             (g.value(loss).scalar(), g.backward(loss).get(x).unwrap().clone())
         });
@@ -390,9 +356,9 @@ mod tests {
         let mut g = Graph::new();
         let xs = g.leaf(x.clone());
         let mut drng = seeded(0);
-        let y = layer.forward(&mut g, &store, &mut drng, xs, None, false);
+        let y = layer.forward(&mut g, &store, &mut drng, &xs, None, false);
         assert_eq!(g.value(y).shape(), (5, 8));
-        assert!(g.value(y).approx_eq(&layer.forward_inference(&store, &x, None), 1e-4));
+        assert!(g.value(y).approx_eq(&layer.forward(&mut Eager, &store, &mut seeded(0), &Cow::Borrowed(&x), None, false), 1e-4));
     }
 
     #[test]
@@ -405,7 +371,7 @@ mod tests {
             let mut g = Graph::new();
             let x = g.leaf(m.clone());
             let mut drng = seeded(0);
-            let y = layer.forward(&mut g, &store, &mut drng, x, None, false);
+            let y = layer.forward(&mut g, &store, &mut drng, &x, None, false);
             let w = g.leaf(Matrix::from_fn(3, 4, |r, c| ((r + c) as f32).cos()));
             let p = g.mul_elem(y, w);
             let loss = g.sum_all(p);
@@ -419,7 +385,7 @@ mod tests {
         let mut store = ParamStore::new();
         let va = VanillaAttention::new(&mut store, &mut rng, "v", 6, 8);
         let rows = Matrix::from_fn(5, 6, |r, c| (r as f32 - c as f32) * 0.2);
-        let w = va.weights_inference(&store, &rows);
+        let w = va.weights(&mut Eager, &store, &Cow::Borrowed(&rows));
         assert_eq!(w.shape(), (1, 5));
         assert!((w.sum() - 1.0).abs() < 1e-5);
         assert!(w.as_slice().iter().all(|&p| p > 0.0));
@@ -432,7 +398,7 @@ mod tests {
         let va = VanillaAttention::new(&mut store, &mut rng, "v", 4, 8);
         let rows = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 * 0.1);
         let values = Matrix::from_fn(3, 2, |r, _| r as f32);
-        let agg = va.aggregate_inference(&store, &rows, &values);
+        let agg = va.aggregate(&mut Eager, &store, &Cow::Borrowed(&rows), &Cow::Borrowed(&values));
         // Convex combination of {0, 1, 2} must lie in [0, 2].
         assert!(agg.as_slice().iter().all(|&x| (0.0..=2.0).contains(&x)));
     }
@@ -447,8 +413,8 @@ mod tests {
         let mut g = Graph::new();
         let rs = g.leaf(rows.clone());
         let vs = g.leaf(values.clone());
-        let agg = va.aggregate(&mut g, &store, rs, vs);
-        assert!(g.value(agg).approx_eq(&va.aggregate_inference(&store, &rows, &values), 1e-5));
+        let agg = va.aggregate(&mut g, &store, &rs, &vs);
+        assert!(g.value(agg).approx_eq(&va.aggregate(&mut Eager, &store, &Cow::Borrowed(&rows), &Cow::Borrowed(&values)), 1e-5));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use groupsa_tensor::{Graph, Matrix, NodeId};
+use groupsa_tensor::{Forward, Matrix};
 use rand::{Rng, RngExt};
 
 /// Inverted dropout: during training each element is zeroed with
@@ -27,24 +27,24 @@ impl Dropout {
         self.p
     }
 
-    /// Applies dropout to node `x` when `training`; identity otherwise.
-    pub fn forward(
+    /// Applies dropout to `x` when `training`; identity otherwise.
+    pub fn forward<'p, F: Forward<'p>>(
         &self,
-        g: &mut Graph,
+        f: &mut F,
         rng: &mut impl Rng,
-        x: NodeId,
+        x: F::Value,
         training: bool,
-    ) -> NodeId {
+    ) -> F::Value {
         // Exact-zero gate on the configured drop rate: p = 0.0 means
         // "dropout disabled", set literally, never computed.
         if !training || self.p == 0.0 { // lint: allow(float-eq)
             return x;
         }
-        let (r, c) = g.value(x).shape();
+        let (r, c) = f.value(&x).shape();
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let mask = Matrix::from_fn(r, c, |_, _| if rng.random::<f32>() < keep { scale } else { 0.0 });
-        g.mul_const(x, &mask)
+        f.mul_const(x, &mask)
     }
 }
 
@@ -52,6 +52,7 @@ impl Dropout {
 mod tests {
     use super::*;
     use groupsa_tensor::rng::seeded;
+    use groupsa_tensor::Graph;
 
     #[test]
     fn identity_when_not_training() {

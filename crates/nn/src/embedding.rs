@@ -1,7 +1,7 @@
 //! Embedding tables with row-sparse gradients.
 
 use crate::{Init, ParamStore};
-use groupsa_tensor::{Graph, Matrix, NodeId};
+use groupsa_tensor::Forward;
 use rand::Rng;
 
 /// An `n×d` lookup table. Lookups enter the autodiff graph as gathered
@@ -45,18 +45,12 @@ impl Embedding {
         self.slot
     }
 
-    /// Records a lookup of `indices` on `g`, returning a
-    /// `indices.len()×dim` node.
+    /// Looks up `indices`, returning an `indices.len()×dim` value.
     ///
     /// # Panics
     /// If any index is out of bounds.
-    pub fn lookup(&self, g: &mut Graph, store: &ParamStore, indices: &[usize]) -> NodeId {
-        g.param_rows(self.slot, store.value(self.slot), indices)
-    }
-
-    /// Gradient-free lookup for inference paths.
-    pub fn lookup_inference(&self, store: &ParamStore, indices: &[usize]) -> Matrix {
-        store.value(self.slot).gather_rows(indices)
+    pub fn lookup<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, indices: &[usize]) -> F::Value {
+        f.param_rows(self.slot, store.value(self.slot), indices)
     }
 
     /// Borrows one embedding row.
@@ -70,6 +64,7 @@ mod tests {
     use super::*;
     use crate::optim::{Adam, Optimizer};
     use groupsa_tensor::rng::seeded;
+    use groupsa_tensor::{Eager, Graph};
 
     #[test]
     fn lookup_returns_table_rows() {
@@ -83,7 +78,7 @@ mod tests {
         let e = emb.lookup(&mut g, &store, &[5, 0]);
         assert_eq!(g.value(e).row(0), emb.row(&store, 5));
         assert_eq!(g.value(e).row(1), emb.row(&store, 0));
-        assert_eq!(emb.lookup_inference(&store, &[2]).row(0), emb.row(&store, 2));
+        assert_eq!(emb.lookup(&mut Eager, &store, &[2]).row(0), emb.row(&store, 2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Position-wise feed-forward network (paper Eq. 6).
 
 use crate::{Init, Linear, ParamStore};
-use groupsa_tensor::{Graph, Matrix, NodeId};
+use groupsa_tensor::Forward;
 use rand::Rng;
 
 /// `FFN(z) = ReLU(z·W₁ + b₁)·W₂ + b₂` — the second sub-layer of every
@@ -32,19 +32,11 @@ impl FeedForward {
         self.l1.in_dim()
     }
 
-    /// Records the forward pass for a `batch×d_model` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        let h = self.l1.forward(g, store, x);
-        let h = g.relu(h);
-        self.l2.forward(g, store, h)
-    }
-
-    /// Gradient-free forward pass (activation applied in place — no
-    /// extra allocation beyond the two affine outputs).
-    pub fn forward_inference(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        let mut h = self.l1.forward_inference(store, x);
-        h.map_inplace(groupsa_tensor::ops::relu);
-        self.l2.forward_inference(store, &h)
+    /// The forward pass for a `batch×d_model` input.
+    pub fn forward<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, x: &F::Value) -> F::Value {
+        let h = self.l1.forward(f, store, x);
+        let h = f.relu(h);
+        self.l2.forward(f, store, &h)
     }
 }
 
@@ -53,6 +45,8 @@ mod tests {
     use super::*;
     use groupsa_tensor::check::assert_grad_matches;
     use groupsa_tensor::rng::seeded;
+    use groupsa_tensor::{Eager, Graph, Matrix};
+    use std::borrow::Cow;
 
     #[test]
     fn preserves_width() {
@@ -62,7 +56,7 @@ mod tests {
         assert_eq!(ffn.d_model(), 8);
         let mut g = Graph::new();
         let x = g.leaf(Matrix::ones(3, 8));
-        let y = ffn.forward(&mut g, &store, x);
+        let y = ffn.forward(&mut g, &store, &x);
         assert_eq!(g.value(y).shape(), (3, 8));
     }
 
@@ -74,8 +68,8 @@ mod tests {
         let x = Matrix::from_fn(2, 4, |r, c| 0.3 * (r + c) as f32 - 0.4);
         let mut g = Graph::new();
         let xs = g.leaf(x.clone());
-        let y = ffn.forward(&mut g, &store, xs);
-        assert!(g.value(y).approx_eq(&ffn.forward_inference(&store, &x), 1e-5));
+        let y = ffn.forward(&mut g, &store, &xs);
+        assert!(g.value(y).approx_eq(&ffn.forward(&mut Eager, &store, &Cow::Borrowed(&x)), 1e-5));
     }
 
     #[test]
@@ -87,7 +81,7 @@ mod tests {
         assert_grad_matches(&x0, 1e-2, 3e-2, |m| {
             let mut g = Graph::new();
             let x = g.leaf(m.clone());
-            let y = ffn.forward(&mut g, &store, x);
+            let y = ffn.forward(&mut g, &store, &x);
             let loss = g.mean_all(y);
             (g.value(loss).scalar(), g.backward(loss).get(x).unwrap().clone())
         });

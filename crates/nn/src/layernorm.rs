@@ -1,7 +1,7 @@
 //! Layer normalisation with learned affine parameters.
 
 use crate::ParamStore;
-use groupsa_tensor::{ops, Graph, Matrix, NodeId};
+use groupsa_tensor::{Forward, Matrix};
 
 /// Row-wise layer normalisation `LN(x) = γ ⊙ (x − μ)/σ + β`, applied
 /// after every residual connection of the voting network
@@ -27,22 +27,19 @@ impl LayerNorm {
         self.dim
     }
 
-    /// Records the forward pass for a `batch×dim` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        let gamma = g.param_full(self.gamma, store.value(self.gamma));
-        let beta = g.param_full(self.beta, store.value(self.beta));
-        g.layer_norm(x, gamma, beta, self.eps)
-    }
-
-    /// Gradient-free forward pass.
-    pub fn forward_inference(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        ops::layer_norm_rows(x, store.value(self.gamma), store.value(self.beta), self.eps)
+    /// The forward pass for a `batch×dim` input.
+    pub fn forward<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, x: &F::Value) -> F::Value {
+        let gamma = f.param_full(self.gamma, store.value(self.gamma));
+        let beta = f.param_full(self.beta, store.value(self.beta));
+        f.layer_norm(x, &gamma, &beta, self.eps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use groupsa_tensor::{Eager, Graph};
+    use std::borrow::Cow;
 
     #[test]
     fn fresh_layer_standardises_rows() {
@@ -50,7 +47,7 @@ mod tests {
         let ln = LayerNorm::new(&mut store, "ln", 4);
         assert_eq!(ln.dim(), 4);
         let x = Matrix::from_vec(2, 4, vec![1.0, 2.0, 3.0, 4.0, -10.0, 0.0, 10.0, 20.0]);
-        let y = ln.forward_inference(&store, &x);
+        let y = ln.forward(&mut Eager, &store, &Cow::Borrowed(&x));
         for row in y.rows_iter() {
             let mean: f32 = row.iter().sum::<f32>() / 4.0;
             assert!(mean.abs() < 1e-4);
@@ -64,7 +61,7 @@ mod tests {
         let x = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32 * 0.7 - 1.0);
         let mut g = Graph::new();
         let xs = g.leaf(x.clone());
-        let y = ln.forward(&mut g, &store, xs);
-        assert!(g.value(y).approx_eq(&ln.forward_inference(&store, &x), 1e-5));
+        let y = ln.forward(&mut g, &store, &xs);
+        assert!(g.value(y).approx_eq(&ln.forward(&mut Eager, &store, &Cow::Borrowed(&x)), 1e-5));
     }
 }

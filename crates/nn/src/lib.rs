@@ -8,12 +8,15 @@
 //! preference aggregation), optimizers (SGD, dense & row-sparse Adam) and
 //! the BPR pairwise ranking loss.
 //!
-//! Everything is built on the autodiff tape of [`groupsa_tensor`]:
-//! a layer owns *slots* into a [`ParamStore`] and records its forward pass
-//! onto a [`Graph`](groupsa_tensor::Graph); after `backward`, the trainer
-//! calls [`ParamStore::accumulate`] to pull gradients off the tape
-//! (scatter-adding embedding-row gradients) and then an
-//! [`optim`] optimizer to update the parameters.
+//! A layer owns *slots* into a [`ParamStore`] and writes its forward
+//! pass once, generic over [`groupsa_tensor::Forward`]. On a
+//! [`Graph`](groupsa_tensor::Graph) the pass is recorded onto the
+//! autodiff tape; after `backward`, the trainer calls
+//! [`ParamStore::accumulate`] to pull gradients off the tape
+//! (scatter-adding embedding-row gradients) and then an [`optim`]
+//! optimizer to update the parameters. On
+//! [`Eager`](groupsa_tensor::Eager) the same pass runs with no tape,
+//! borrowing the parameters — the inference and serving path.
 //!
 //! ```
 //! use groupsa_nn::{ParamStore, Linear, Init, optim::{Adam, Optimizer}};
@@ -27,7 +30,7 @@
 //! let x = Matrix::ones(3, 4);
 //! let mut g = Graph::new();
 //! let xs = g.leaf(x);
-//! let y = layer.forward(&mut g, &store, xs);
+//! let y = layer.forward(&mut g, &store, &xs);
 //! let loss = g.mean_all(y);
 //! let grads = g.backward(loss);
 //! store.accumulate(&g, &grads);

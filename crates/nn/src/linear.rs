@@ -1,7 +1,7 @@
 //! Fully-connected affine layer.
 
 use crate::{Init, ParamStore};
-use groupsa_tensor::{Graph, Matrix, NodeId};
+use groupsa_tensor::{Forward, Matrix};
 use rand::Rng;
 
 /// An affine map `y = x·W + b` with `W: in×out`, `b: 1×out`.
@@ -44,16 +44,12 @@ impl Linear {
         (self.w, self.b)
     }
 
-    /// Records the forward pass on `g` for a `batch×in` input node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        let w = g.param_full(self.w, store.value(self.w));
-        let b = g.param_full(self.b, store.value(self.b));
-        g.linear(x, w, b)
-    }
-
-    /// Gradient-free forward pass for inference paths.
-    pub fn forward_inference(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        x.matmul(store.value(self.w)).add_row_broadcast(store.value(self.b))
+    /// The forward pass `x·W + b` for a `batch×in` input.
+    pub fn forward<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, x: &F::Value) -> F::Value {
+        let w = f.param_full(self.w, store.value(self.w));
+        let b = f.param_full(self.b, store.value(self.b));
+        let y = f.matmul(x, &w);
+        f.add_row_broadcast(y, &b)
     }
 }
 
@@ -63,6 +59,8 @@ mod tests {
     use crate::optim::{Adam, Optimizer};
     use groupsa_tensor::check::assert_grad_matches;
     use groupsa_tensor::rng::seeded;
+    use groupsa_tensor::{Eager, Graph};
+    use std::borrow::Cow;
 
     #[test]
     fn forward_shapes() {
@@ -73,7 +71,7 @@ mod tests {
 
         let mut g = Graph::new();
         let x = g.leaf(Matrix::ones(5, 4));
-        let y = l.forward(&mut g, &store, x);
+        let y = l.forward(&mut g, &store, &x);
         assert_eq!(g.value(y).shape(), (5, 3));
     }
 
@@ -86,8 +84,8 @@ mod tests {
 
         let mut g = Graph::new();
         let xs = g.leaf(x.clone());
-        let y = l.forward(&mut g, &store, xs);
-        assert!(g.value(y).approx_eq(&l.forward_inference(&store, &x), 1e-6));
+        let y = l.forward(&mut g, &store, &xs);
+        assert!(g.value(y).approx_eq(&l.forward(&mut Eager, &store, &Cow::Borrowed(&x)), 1e-6));
     }
 
     #[test]
@@ -99,7 +97,7 @@ mod tests {
         assert_grad_matches(&x0, 1e-2, 2e-2, |m| {
             let mut g = Graph::new();
             let x = g.leaf(m.clone());
-            let y = l.forward(&mut g, &store, x);
+            let y = l.forward(&mut g, &store, &x);
             let t = g.tanh(y);
             let loss = g.sum_all(t);
             (g.value(loss).scalar(), g.backward(loss).get(x).unwrap().clone())
@@ -117,7 +115,7 @@ mod tests {
             let x = ((step % 10) as f32 - 5.0) / 5.0;
             let mut g = Graph::new();
             let xs = g.leaf(Matrix::full(1, 1, x));
-            let y = l.forward(&mut g, &store, xs);
+            let y = l.forward(&mut g, &store, &xs);
             let t = g.leaf(Matrix::full(1, 1, x));
             let d = g.sub(y, t);
             let sq = g.mul_elem(d, d);
@@ -126,7 +124,7 @@ mod tests {
             store.accumulate(&g, &grads);
             opt.step(&mut store);
         }
-        let y = l.forward_inference(&store, &Matrix::full(1, 1, 0.7));
+        let y = l.forward(&mut Eager, &store, &Cow::Owned(Matrix::full(1, 1, 0.7)));
         assert!((y.scalar() - 0.7).abs() < 0.05, "got {}", y.scalar());
     }
 }

@@ -6,7 +6,7 @@
 //! `−ln σ(x) = softplus(−x)`. The `λ‖Θ‖²` term is applied as optimizer
 //! weight decay (see [`crate::optim`]).
 
-use groupsa_tensor::{Graph, NodeId};
+use groupsa_tensor::{Forward, Graph, NodeId};
 
 /// BPR loss pairing each row of `pos` with the same row of `neg`
 /// (`n×1` each): `mean softplus(neg − pos)`.

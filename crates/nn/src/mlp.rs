@@ -1,7 +1,7 @@
 //! Multi-layer perceptron towers (paper Eq. 19, 20, 22).
 
 use crate::{Init, Linear, ParamStore};
-use groupsa_tensor::{Graph, Matrix, NodeId};
+use groupsa_tensor::Forward;
 use rand::Rng;
 
 /// A stack of [`Linear`] layers with ReLU between them.
@@ -65,34 +65,19 @@ impl Mlp {
             .collect()
     }
 
-    /// Records the forward pass for a `batch×in_dim` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(g, store, h);
-            if i < last || self.activate_last {
-                h = g.relu(h);
-            }
-        }
-        h
-    }
-
-    /// Gradient-free forward pass. Unlike the graph path this records
-    /// no tape and allocates only the per-layer outputs (activations
-    /// are applied in place, and the input is never copied).
-    pub fn forward_inference(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+    /// The forward pass for a `batch×in_dim` input: every layer but
+    /// the last is ReLU-activated, the last one too when
+    /// `activate_last`.
+    pub fn forward<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, x: &F::Value) -> F::Value {
         // lint: allow(panic-reach) — structural invariant: Mlp::new rejects empty layer lists.
         let (first, rest) = self.layers.split_first().expect("Mlp has at least one layer");
-        let mut h = first.forward_inference(store, x);
-        if !rest.is_empty() || self.activate_last {
-            h.map_inplace(groupsa_tensor::ops::relu);
+        let mut h = first.forward(f, store, x);
+        for layer in rest {
+            h = f.relu(h);
+            h = layer.forward(f, store, &h);
         }
-        for (i, layer) in rest.iter().enumerate() {
-            h = layer.forward_inference(store, &h);
-            if i + 1 < rest.len() || self.activate_last {
-                h.map_inplace(groupsa_tensor::ops::relu);
-            }
+        if self.activate_last {
+            h = f.relu(h);
         }
         h
     }
@@ -102,6 +87,8 @@ impl Mlp {
 mod tests {
     use super::*;
     use groupsa_tensor::rng::seeded;
+    use groupsa_tensor::{Eager, Graph, Matrix};
+    use std::borrow::Cow;
 
     #[test]
     fn dims_and_depth() {
@@ -129,7 +116,7 @@ mod tests {
         // With many random inputs, a linear head must produce some
         // negative scores; a ReLU head could not.
         let x = Matrix::from_fn(64, 4, |r, c| ((r * 7 + c * 3) % 13) as f32 - 6.0);
-        let y = scorer.forward_inference(&store, &x);
+        let y = scorer.forward(&mut Eager, &store, &Cow::Borrowed(&x));
         assert!(y.min() < 0.0, "linear scoring head should produce negatives");
     }
 
@@ -139,7 +126,7 @@ mod tests {
         let mut store = ParamStore::new();
         let fusion = Mlp::new(&mut store, &mut rng, "m", &[4, 8, 4], true);
         let x = Matrix::from_fn(16, 4, |r, c| (r as f32 - 8.0) * 0.5 + c as f32 * 0.1);
-        let y = fusion.forward_inference(&store, &x);
+        let y = fusion.forward(&mut Eager, &store, &Cow::Borrowed(&x));
         assert!(y.min() >= 0.0);
     }
 
@@ -151,7 +138,7 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |r, c| 0.2 * (r + 2 * c) as f32 - 0.5);
         let mut g = Graph::new();
         let xs = g.leaf(x.clone());
-        let y = mlp.forward(&mut g, &store, xs);
-        assert!(g.value(y).approx_eq(&mlp.forward_inference(&store, &x), 1e-5));
+        let y = mlp.forward(&mut g, &store, &xs);
+        assert!(g.value(y).approx_eq(&mlp.forward(&mut Eager, &store, &Cow::Borrowed(&x)), 1e-5));
     }
 }

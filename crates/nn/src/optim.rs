@@ -169,7 +169,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use groupsa_tensor::{Graph, Matrix};
+    use groupsa_tensor::{Forward, Graph, Matrix};
 
     /// One optimizer step on loss = Σ (θ − target)².
     fn quadratic_step(store: &mut ParamStore, slot: usize, target: &Matrix, opt: &mut dyn Optimizer) -> f32 {

@@ -329,6 +329,7 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use groupsa_tensor::Forward;
 
     #[test]
     fn release_training_state_keeps_values_and_frees_the_rest() {

@@ -10,7 +10,7 @@ use groupsa_nn::loss::{bpr_one_vs_rest, bpr_pairwise};
 use groupsa_nn::{ParamStore, SelfAttention};
 use groupsa_tensor::check::assert_grad_matches;
 use groupsa_tensor::rng::{gaussian_matrix, seeded};
-use groupsa_tensor::{Graph, Matrix};
+use groupsa_tensor::{Forward, Graph, Matrix};
 
 fn members(l: usize, d: usize, seed: u64) -> Matrix {
     gaussian_matrix(&mut seeded(seed), l, d, 0.0, 0.8)
@@ -38,7 +38,7 @@ fn masked_attention_input_gradient_matches_finite_differences() {
     assert_grad_matches(&x0, 1e-2, 5e-2, |m| {
         let mut g = Graph::new();
         let x = g.leaf(m.clone());
-        let z = attn.forward(&mut g, &store, x, Some(&mask));
+        let (z, _) = attn.forward(&mut g, &store, &x, Some(&mask));
         let w = g.leaf(proj.clone());
         let p = g.mul_elem(z, w);
         let loss = g.sum_all(p);
@@ -63,7 +63,7 @@ fn masked_attention_parameter_gradients_match_finite_differences() {
             store.zero_grads();
             let mut g = Graph::new();
             let x = g.leaf(x0.clone());
-            let z = attn.forward(&mut g, &store, x, Some(&mask));
+            let (z, _) = attn.forward(&mut g, &store, &x, Some(&mask));
             let loss = g.mean_all(z);
             let scalar = g.value(loss).scalar();
             let grads = g.backward(loss);
@@ -122,7 +122,7 @@ fn attention_gradient_flows_through_bpr_end_to_end() {
     assert_grad_matches(&x0, 1e-2, 5e-2, |m| {
         let mut g = Graph::new();
         let x = g.leaf(m.clone());
-        let z = attn.forward(&mut g, &store, x, Some(&mask));
+        let (z, _) = attn.forward(&mut g, &store, &x, Some(&mask));
         let h = g.leaf(head.clone());
         let scores = g.matmul(z, h); // l×1: row 0 is "the positive"
         let l = bpr_one_vs_rest(&mut g, scores);
@@ -146,7 +146,7 @@ fn masked_attention_gets_zero_gradient_from_masked_positions() {
     let row0_sum = |m: &Matrix| {
         let mut g = Graph::new();
         let x = g.leaf(m.clone());
-        let z = attn.forward(&mut g, &store, x, Some(&mask));
+        let (z, _) = attn.forward(&mut g, &store, &x, Some(&mask));
         let r0 = g.slice_rows(z, 0, 1);
         let s = g.sum_all(r0);
         (g.value(s).scalar(), g.backward(s).get(x).unwrap().clone())

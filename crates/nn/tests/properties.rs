@@ -5,7 +5,8 @@ use groupsa_nn::loss::bpr_one_vs_rest;
 use groupsa_nn::optim::{Adam, Optimizer, Sgd};
 use groupsa_nn::{Init, LayerNorm, Mlp, ParamStore, SelfAttention, VanillaAttention};
 use groupsa_tensor::rng::seeded;
-use groupsa_tensor::{Graph, Matrix};
+use groupsa_tensor::{Eager, Forward, Graph, Matrix};
+use std::borrow::Cow;
 use proptest::prelude::*;
 
 fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -22,7 +23,7 @@ proptest! {
         let mut store = ParamStore::new();
         let attn = SelfAttention::new(&mut store, &mut rng, "a", 8, 8);
         let x = matrix(l, 8, seed ^ 1);
-        let (_, w) = attn.forward_inference(&store, &x, None);
+        let (_, w) = attn.forward(&mut Eager, &store, &Cow::Borrowed(&x), None);
         for row in w.rows_iter() {
             let s: f32 = row.iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-4, "row sum {s}");
@@ -39,7 +40,7 @@ proptest! {
         // Random boolean adjacency.
         let allowed: Vec<Vec<bool>> = (0..l).map(|i| (0..l).map(|j| (i * 7 + j * 3 + seed as usize) % 3 == 0).collect()).collect();
         let mask = social_bias_mask(&allowed);
-        let (_, w) = attn.forward_inference(&store, &x, Some(&mask));
+        let (_, w) = attn.forward(&mut Eager, &store, &Cow::Borrowed(&x), Some(&mask));
         for i in 0..l {
             for j in 0..l {
                 if i != j && !allowed[i][j] {
@@ -56,7 +57,7 @@ proptest! {
         let mut store = ParamStore::new();
         let va = VanillaAttention::new(&mut store, &mut rng, "v", 4, 6);
         let rows = matrix(n, 4, seed ^ 3);
-        let w = va.weights_inference(&store, &rows);
+        let w = va.weights(&mut Eager, &store, &Cow::Borrowed(&rows));
         prop_assert_eq!(w.shape(), (1, n));
         prop_assert!((w.sum() - 1.0).abs() < 1e-4);
     }
@@ -66,7 +67,7 @@ proptest! {
         let mut store = ParamStore::new();
         let ln = LayerNorm::new(&mut store, "ln", 8);
         let x = matrix(rows, 8, seed ^ 4);
-        let y = ln.forward_inference(&store, &x);
+        let y = ln.forward(&mut Eager, &store, &Cow::Borrowed(&x));
         for row in y.rows_iter() {
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
             prop_assert!(mean.abs() < 1e-3, "fresh LN output rows are centred, mean {mean}");
@@ -128,8 +129,8 @@ proptest! {
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, &mut rng, "m", &[6, 10, 1], false);
         let x = matrix(rows, 6, seed ^ 5);
-        let a = mlp.forward_inference(&store, &x);
-        let b = mlp.forward_inference(&store, &x);
+        let a = mlp.forward(&mut Eager, &store, &Cow::Borrowed(&x)).into_owned();
+        let b = mlp.forward(&mut Eager, &store, &Cow::Borrowed(&x)).into_owned();
         prop_assert_eq!(a.clone(), b);
         prop_assert!(a.is_finite());
         prop_assert_eq!(a.shape(), (rows, 1));

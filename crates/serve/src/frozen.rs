@@ -1,8 +1,9 @@
 //! An immutable serving snapshot of a trained [`GroupSa`] model.
 //!
 //! Freezing walks every user and group **once**, precomputing the two
-//! expensive intermediates of the scoring paths through the tape-free
-//! twins in `groupsa_core::freeze`:
+//! expensive intermediates of the scoring paths through the eager
+//! entry points in `groupsa_core::freeze` (the model's one forward
+//! definition, evaluated without a tape):
 //!
 //! * the enhanced user latent factor `h_j` (Eq. 19) per user, and
 //! * the post-voting member representations (Eq. 1–6) per group.
@@ -16,9 +17,10 @@
 //! is a pure speedup, not an approximation.
 //!
 //! The snapshot is immutable after construction — worker threads share
-//! it through an `Arc` with no locking. Model reload goes through
-//! [`FrozenModel::rebuild`], which validates the replacement against
-//! the frozen universe and recomputes every cache.
+//! it through an `Arc` with no locking. Model reload builds a successor
+//! (e.g. [`FrozenModel::from_snapshot_shared`]) and publishes it through
+//! [`crate::Engine::publish`], which validates it against the serving
+//! universe.
 
 use crate::metrics::CacheStats;
 use crate::protocol::Target;
@@ -56,14 +58,8 @@ pub struct FrozenModel {
     ctx: Arc<DataContext>,
     /// `h_j` per user and post-voting `l×d` member reps per group.
     tables: Box<dyn TableStore>,
-    /// Memory-backed models can recompute their caches from `ctx`;
-    /// snapshot-backed ones cannot (the serving context may be a
-    /// stub without Top-H lists), so [`FrozenModel::rebuild`] is
-    /// gated on this.
-    rebuildable: bool,
     latent_hits: AtomicU64,
     rep_hits: AtomicU64,
-    rebuilds: AtomicU64,
 }
 
 impl FrozenModel {
@@ -78,16 +74,17 @@ impl FrozenModel {
         assert_eq!(model.num_users(), ctx.num_users, "model/context user universe mismatch");
         model.store_mut().release_training_state();
         assert_eq!(model.num_items(), ctx.num_items, "model/context item universe mismatch");
-        let (user_latents, group_reps) = Self::precompute(&model, &ctx);
+        let user_latents: Vec<Option<Matrix>> =
+            (0..ctx.num_users).map(|u| model.user_latent_frozen(&ctx, u)).collect();
+        let group_reps: Vec<Matrix> =
+            (0..ctx.num_groups()).map(|g| model.member_reps_frozen(&ctx, g, &user_latents)).collect();
         let dim = model.user_embedding_table().cols();
         Self {
             model: Arc::new(model),
             ctx: Arc::new(ctx),
             tables: Box::new(MemoryTables::new(user_latents, group_reps, dim)),
-            rebuildable: true,
             latent_hits: AtomicU64::new(0),
             rep_hits: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
         }
     }
 
@@ -145,10 +142,8 @@ impl FrozenModel {
             model,
             ctx,
             tables: Box::new(SnapshotTables::new(snap)),
-            rebuildable: false,
             latent_hits: AtomicU64::new(0),
             rep_hits: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
         })
     }
 
@@ -192,44 +187,6 @@ impl FrozenModel {
     /// Where the caches live: `"memory"` or `"snapshot"`.
     pub fn table_backing(&self) -> &'static str {
         self.tables.backing()
-    }
-
-    fn precompute(model: &GroupSa, ctx: &DataContext) -> (Vec<Option<Matrix>>, Vec<Matrix>) {
-        let user_latents: Vec<Option<Matrix>> =
-            (0..ctx.num_users).map(|u| model.user_latent_frozen(ctx, u)).collect();
-        let group_reps: Vec<Matrix> =
-            (0..ctx.num_groups()).map(|g| model.member_reps_frozen(ctx, g, &user_latents)).collect();
-        (user_latents, group_reps)
-    }
-
-    /// Replaces the model (e.g. after a checkpoint reload) and rebuilds
-    /// every cache, releasing the new model's training state as
-    /// [`FrozenModel::freeze`] does. Rejects models trained for a
-    /// different universe so cached id spaces can never dangle.
-    pub fn rebuild(&mut self, mut model: GroupSa) -> Result<(), String> {
-        if !self.rebuildable {
-            return Err(
-                "snapshot-backed frozen model cannot rebuild: its context lacks the training-side \
-                 Top-H lists; write a new snapshot from a freeze-built model instead"
-                    .to_string(),
-            );
-        }
-        if model.num_users() != self.ctx.num_users || model.num_items() != self.ctx.num_items {
-            return Err(format!(
-                "model universe {}u/{}i does not match frozen context {}u/{}i",
-                model.num_users(),
-                model.num_items(),
-                self.ctx.num_users,
-                self.ctx.num_items
-            ));
-        }
-        model.store_mut().release_training_state();
-        let (user_latents, group_reps) = Self::precompute(&model, &self.ctx);
-        let dim = model.user_embedding_table().cols();
-        self.model = Arc::new(model);
-        self.tables = Box::new(MemoryTables::new(user_latents, group_reps, dim));
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// The frozen model (parameter access, config).
@@ -346,8 +303,7 @@ impl FrozenModel {
                             }
                             let per_member = self.model.score_users_items_frozen(members, &latent_refs, chunk);
                             for (idx, &item) in chunk.iter().enumerate() {
-                                let column: Vec<f32> = per_member.iter().map(|row| row[idx]).collect();
-                                acc.push(item, agg.combine(&column));
+                                acc.push(item, agg.combine(per_member.iter().map(|row| row[idx])));
                             }
                         }))
                     }
@@ -455,7 +411,6 @@ impl FrozenModel {
         CacheStats {
             latent_hits: self.latent_hits.load(Ordering::Relaxed),
             group_rep_hits: self.rep_hits.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
             num_users: self.ctx.num_users,
             num_items: self.ctx.num_items,
             num_groups: self.ctx.num_groups(),

@@ -9,10 +9,11 @@
 //! * [`frozen`] — [`frozen::FrozenModel`] snapshots the model once at
 //!   load: every user's enhanced latent factor (Eq. 19) and every
 //!   group's post-voting member representations (Eq. 1–6) are
-//!   precomputed through the tape-free eval twins in
+//!   precomputed through the eager entry points in
 //!   `groupsa_core::freeze`, so per-request work is embedding lookups
-//!   plus the prediction towers. Scores are bit-identical to the
-//!   training-graph eval path — the snapshot is a speedup, not an
+//!   plus the prediction towers. They run the training graph's own
+//!   forward definition without a tape, so scores are bit-identical to
+//!   the training-graph eval path — the snapshot is a speedup, not an
 //!   approximation (generalising the paper's §II-F fast-inference
 //!   idea, which *is* also available as a request mode).
 //! * [`engine`] — a hermetic worker pool (`std::thread` + channels):
@@ -35,8 +36,9 @@
 //! dumped at shutdown.
 //!
 //! The `groupsa-serve` binary wires these to a dataset/checkpoint and
-//! a TCP port; `serve_bench` (in `groupsa-bench`) load-tests either
-//! in-process or over TCP.
+//! a TCP port; `serve_bench` (in `groupsa-bench`) load-tests a running
+//! server over TCP or runs the snapshot-scale bench. Serving throughput
+//! and latency are measured by the separate `servebench/` package.
 
 #![warn(missing_docs)]
 

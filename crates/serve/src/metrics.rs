@@ -216,7 +216,6 @@ impl Metrics {
             window_60s: self.telemetry.window_stats(60),
             latent_cache_hits: cache.latent_hits,
             group_rep_cache_hits: cache.group_rep_hits,
-            rebuilds: cache.rebuilds,
             num_users: cache.num_users,
             num_items: cache.num_items,
             num_groups: cache.num_groups,
@@ -283,7 +282,6 @@ impl Metrics {
         for (name, value) in [
             ("groupsa_serve_cache_latent_hits_total", cache.latent_hits),
             ("groupsa_serve_cache_group_rep_hits_total", cache.group_rep_hits),
-            ("groupsa_serve_rebuilds_total", cache.rebuilds),
         ] {
             e.counter(name, value);
         }
@@ -348,7 +346,6 @@ pub const EXPOSITION_METRICS: &[&str] = &[
     "groupsa_obs_ring_dropped_total",
     "groupsa_serve_cache_latent_hits_total",
     "groupsa_serve_cache_group_rep_hits_total",
-    "groupsa_serve_rebuilds_total",
     "groupsa_serve_slow_request_us",
 ];
 
@@ -360,8 +357,6 @@ pub struct CacheStats {
     pub latent_hits: u64,
     /// Group-representation cache reads.
     pub group_rep_hits: u64,
-    /// Times the snapshot was rebuilt from a reloaded model.
-    pub rebuilds: u64,
     /// Users in the frozen universe.
     pub num_users: usize,
     /// Items in the frozen universe.
@@ -398,8 +393,7 @@ pub struct StatsSnapshot {
     /// reaching the engine (like `rejected`, never counted as
     /// submitted).
     pub limited: u64,
-    /// Hot-swap publishes since the engine started (the engine-level
-    /// counterpart of the per-model `rebuilds` below).
+    /// Hot-swap publishes since the engine started.
     pub reloads: u64,
     /// Live connection threads at the accept loop's last reap.
     pub open_connections: u64,
@@ -450,8 +444,6 @@ pub struct StatsSnapshot {
     pub latent_cache_hits: u64,
     /// Group-representation cache hits.
     pub group_rep_cache_hits: u64,
-    /// Frozen-snapshot rebuilds since load.
-    pub rebuilds: u64,
     /// Users in the frozen universe (lets clients pick valid ids).
     pub num_users: usize,
     /// Items in the frozen universe.
@@ -491,7 +483,6 @@ impl_json_struct!(StatsSnapshot {
     window_60s,
     latent_cache_hits,
     group_rep_cache_hits,
-    rebuilds,
     num_users,
     num_items,
     num_groups,

@@ -30,7 +30,6 @@ fn cache() -> CacheStats {
     CacheStats {
         latent_hits: 40,
         group_rep_hits: 9,
-        rebuilds: 1,
         num_users: 60,
         num_items: 40,
         num_groups: 25,

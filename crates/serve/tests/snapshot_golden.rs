@@ -140,17 +140,6 @@ fn serving_stub_context_serves_the_full_catalog_identically() {
 }
 
 #[test]
-fn snapshot_backed_models_refuse_to_rebuild() {
-    let (_, mut lazy) = memory_and_snapshot(84, "golden-rebuild", Quant::F32);
-    let n_users = lazy.context().num_users;
-    let n_items = lazy.context().num_items;
-    let replacement = GroupSa::new(GroupSaConfig::tiny(), n_users, n_items);
-    let err = lazy.rebuild(replacement).expect_err("stub context cannot recompute caches");
-    assert!(err.contains("snapshot-backed"), "unexpected error: {err}");
-    assert_eq!(lazy.cache_stats().rebuilds, 0);
-}
-
-#[test]
 fn quantized_snapshots_serve_deterministically() {
     for quant in [Quant::F16, Quant::I8] {
         let (_, lazy) = memory_and_snapshot(85, &format!("golden-{}", quant.name()), quant);

@@ -3,17 +3,19 @@
 //! A [`Graph`] is an arena of nodes. Every operation evaluates its result
 //! eagerly (forward pass) and records which parents produced it; calling
 //! [`Graph::backward`] on a scalar node walks the tape once in reverse,
-//! producing exact gradients for every node.
+//! producing exact gradients for every node. The ops a model's forward
+//! pass uses are [`Forward`] methods (so the same definition also runs
+//! on [`crate::Eager`]); the loss-side ops are inherent methods.
 //!
 //! Model parameters live *outside* the tape (see `groupsa-nn`'s parameter
-//! store). They enter a graph either wholesale ([`Graph::param_full`]) or —
+//! store). They enter a graph either wholesale ([`Forward::param_full`]) or —
 //! crucial for embedding tables — as a gathered subset of rows
-//! ([`Graph::param_rows`]), whose gradient is scatter-added back into the
+//! ([`Forward::param_rows`]), whose gradient is scatter-added back into the
 //! table by the trainer. This is what makes per-example SGD over
 //! thousands-of-rows embedding matrices cheap.
 
-use crate::ops;
-use crate::Matrix;
+use crate::{ops, Forward, Matrix};
+use std::borrow::Borrow;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -70,15 +72,9 @@ enum Op {
     MeanRows(NodeId),
     SumAll(NodeId),
     MeanAll(NodeId),
-    LayerNorm {
-        x: NodeId,
-        gamma: NodeId,
-        beta: NodeId,
-        /// Normalised activations `(x - μ)·rstd`, cached for backward.
-        xhat: Matrix,
-        /// Per-row reciprocal standard deviation, cached for backward.
-        rstd: Vec<f32>,
-    },
+    /// Backward re-normalises `x`'s rows (same routine, same bits)
+    /// instead of caching the normalised activations.
+    LayerNorm { x: NodeId, gamma: NodeId, beta: NodeId, eps: f32 },
 }
 
 struct Node {
@@ -148,91 +144,10 @@ impl Graph {
         self.push(value, Op::Leaf)
     }
 
-    /// Records a leaf holding a full copy of a parameter and binds it to
-    /// `slot` so the trainer can accumulate its gradient.
-    pub fn param_full(&mut self, slot: usize, value: &Matrix) -> NodeId {
-        let id = self.push(value.clone(), Op::Leaf);
-        self.bindings.push((id, Binding::Full { slot }));
-        id
-    }
-
-    /// Records an embedding lookup: gathers `indices` rows of `table`
-    /// into a leaf bound to `slot` (gradient is scatter-added back).
-    ///
-    /// # Panics
-    /// If any index is out of bounds for `table`.
-    pub fn param_rows(&mut self, slot: usize, table: &Matrix, indices: &[usize]) -> NodeId {
-        let id = self.push(table.gather_rows(indices), Op::Leaf);
-        self.bindings.push((id, Binding::Rows { slot, indices: indices.to_vec() }));
-        id
-    }
-
-    /// Matrix product `a · b`.
-    pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).matmul(self.value(b));
-        self.push(v, Op::MatMul(a, b))
-    }
-
-    /// Transpose.
-    pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).transpose();
-        self.push(v, Op::Transpose(a))
-    }
-
-    /// Element-wise sum of two same-shape nodes.
-    pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).add(self.value(b));
-        self.push(v, Op::Add(a, b))
-    }
-
     /// Element-wise difference `a − b`.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).sub(self.value(b));
         self.push(v, Op::Sub(a, b))
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn mul_elem(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).mul_elem(self.value(b));
-        self.push(v, Op::MulElem(a, b))
-    }
-
-    /// Scalar multiple `s · a`.
-    pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let v = self.value(a).scale(s);
-        self.push(v, Op::Scale(a, s))
-    }
-
-    /// Adds a non-differentiable constant matrix (used for the social
-    /// bias mask of paper Eq. (4): entries may be `-inf`).
-    ///
-    /// # Panics
-    /// If shapes differ.
-    pub fn add_const(&mut self, a: NodeId, c: &Matrix) -> NodeId {
-        let v = self.value(a).zip_map(c, |x, y| x + y);
-        self.push(v, Op::AddConst(a))
-    }
-
-    /// Multiplies element-wise by a non-differentiable constant matrix
-    /// (used for dropout masks, which are pre-scaled by `1/keep_prob`).
-    ///
-    /// # Panics
-    /// If shapes differ.
-    pub fn mul_const(&mut self, a: NodeId, c: &Matrix) -> NodeId {
-        let v = self.value(a).mul_elem(c);
-        self.push(v, Op::MulConst(a, c.clone()))
-    }
-
-    /// Adds a `1×c` bias row to every row of `a`.
-    pub fn add_row_broadcast(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        let v = self.value(a).add_row_broadcast(self.value(bias));
-        self.push(v, Op::AddRowBroadcast(a, bias))
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(ops::relu);
-        self.push(v, Op::Relu(a))
     }
 
     /// Logistic sigmoid.
@@ -254,34 +169,10 @@ impl Graph {
         self.push(v, Op::Softplus(a))
     }
 
-    /// Row-wise stable softmax (masked entries of `-inf` become 0).
-    pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
-        let v = ops::softmax_rows(self.value(a));
-        self.push(v, Op::SoftmaxRows(a))
-    }
-
-    /// Horizontal concatenation `[a | b]`.
-    pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).concat_cols(self.value(b));
-        self.push(v, Op::ConcatCols(a, b))
-    }
-
     /// Vertical concatenation (`a` on top of `b`).
     pub fn concat_rows(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).concat_rows(self.value(b));
         self.push(v, Op::ConcatRows(a, b))
-    }
-
-    /// Copies rows `start..start+len` of `a`.
-    pub fn slice_rows(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let v = self.value(a).slice_rows(start, len);
-        self.push(v, Op::SliceRows(a, start))
-    }
-
-    /// Tiles a `1×c` row `times` times.
-    pub fn repeat_rows(&mut self, a: NodeId, times: usize) -> NodeId {
-        let v = self.value(a).repeat_rows(times);
-        self.push(v, Op::RepeatRows(a))
     }
 
     /// Column-wise mean, producing a `1×c` row.
@@ -300,41 +191,6 @@ impl Graph {
     pub fn mean_all(&mut self, a: NodeId) -> NodeId {
         let v = Matrix::full(1, 1, self.value(a).mean());
         self.push(v, Op::MeanAll(a))
-    }
-
-    /// Row-wise layer normalisation with affine parameters
-    /// (`gamma`, `beta` are `1×c` nodes), as used after every attention
-    /// and FFN sub-layer (paper §II-C, "LayerNorm(x + Sublayer(x))").
-    pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId, eps: f32) -> NodeId {
-        let xv = self.value(x);
-        let n = xv.cols() as f32;
-        let mut xhat = xv.clone();
-        let mut rstd = Vec::with_capacity(xv.rows());
-        for r in 0..xhat.rows() {
-            let row = xhat.row_mut(r);
-            let mean = row.iter().sum::<f32>() / n;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
-            let rs = 1.0 / (var + eps).sqrt();
-            row.iter_mut().for_each(|v| *v = (*v - mean) * rs);
-            rstd.push(rs);
-        }
-        let g = self.value(gamma);
-        let b = self.value(beta);
-        assert_eq!(g.shape(), (1, xv.cols()), "layer_norm: gamma must be 1x{}", xv.cols());
-        assert_eq!(b.shape(), (1, xv.cols()), "layer_norm: beta must be 1x{}", xv.cols());
-        let mut out = xhat.clone();
-        for r in 0..out.rows() {
-            for ((v, &gg), &bb) in out.row_mut(r).iter_mut().zip(g.as_slice()).zip(b.as_slice()) {
-                *v = *v * gg + bb;
-            }
-        }
-        self.push(out, Op::LayerNorm { x, gamma, beta, xhat, rstd })
-    }
-
-    /// Convenience: fully-connected affine layer `a·w + bias`.
-    pub fn linear(&mut self, a: NodeId, w: NodeId, bias: NodeId) -> NodeId {
-        let mm = self.matmul(a, w);
-        self.add_row_broadcast(mm, bias)
     }
 
     /// Runs reverse-mode differentiation from the scalar node `root`.
@@ -463,14 +319,19 @@ impl Graph {
                 let n = pv.len() as f32;
                 acc(*a, Matrix::full(pv.rows(), pv.cols(), dy.scalar() / n));
             }
-            Op::LayerNorm { x, gamma, beta, xhat, rstd } => {
+            Op::LayerNorm { x, gamma, beta, eps } => {
                 let g = self.value(*gamma);
-                let cols = xhat.cols() as f32;
-                let mut dgamma = Matrix::zeros(1, xhat.cols());
-                let mut dbeta = Matrix::zeros(1, xhat.cols());
-                let mut dx = Matrix::zeros(xhat.rows(), xhat.cols());
-                for r in 0..xhat.rows() {
-                    let xh = xhat.row(r);
+                let xv = self.value(*x);
+                let cols = xv.cols() as f32;
+                let mut dgamma = Matrix::zeros(1, xv.cols());
+                let mut dbeta = Matrix::zeros(1, xv.cols());
+                let mut dx = Matrix::zeros(xv.rows(), xv.cols());
+                let mut xh = Vec::with_capacity(xv.cols());
+                for r in 0..xv.rows() {
+                    xh.clear();
+                    xh.extend_from_slice(xv.row(r));
+                    let rs = ops::normalize_row(&mut xh, *eps);
+                    let xh = xh.as_slice();
                     let dyr = dy.row(r);
                     // dGamma, dBeta accumulate over rows.
                     for ((dg, (&d, &xv)), db) in dgamma
@@ -488,7 +349,6 @@ impl Graph {
                         dyr.iter().zip(g.as_slice()).map(|(&d, &gg)| d * gg).collect();
                     let m1 = dxhat.iter().sum::<f32>() / cols;
                     let m2 = dxhat.iter().zip(xh).map(|(&d, &xv)| d * xv).sum::<f32>() / cols;
-                    let rs = rstd[r];
                     for ((o, &d), &xv) in dx.row_mut(r).iter_mut().zip(&dxhat).zip(xh) {
                         *o = rs * (d - m1 - xv * m2);
                     }
@@ -498,6 +358,135 @@ impl Graph {
                 acc(*beta, dbeta);
             }
         }
+    }
+}
+
+impl<'p> Forward<'p> for Graph {
+    type Value = NodeId;
+    const TAPE: bool = true;
+
+    fn value<'a>(&'a self, x: &'a NodeId) -> &'a Matrix {
+        Graph::value(self, *x)
+    }
+
+    /// Records a leaf holding a copy of the parameter and binds it to
+    /// `slot` so the trainer can accumulate its gradient.
+    fn param_full(&mut self, slot: usize, value: &'p Matrix) -> NodeId {
+        let id = self.push(value.clone(), Op::Leaf);
+        self.bindings.push((id, Binding::Full { slot }));
+        id
+    }
+
+    /// Records the gathered rows as a leaf bound to `slot`; their
+    /// gradient is scatter-added back into the table.
+    fn param_rows(&mut self, slot: usize, table: &'p Matrix, indices: &[usize]) -> NodeId {
+        let id = self.push(table.gather_rows(indices), Op::Leaf);
+        self.bindings.push((id, Binding::Rows { slot, indices: indices.to_vec() }));
+        id
+    }
+
+    fn matmul(&mut self, a: impl Borrow<NodeId>, b: impl Borrow<NodeId>) -> NodeId {
+        let (a, b) = (*a.borrow(), *b.borrow());
+        let v = self.value(a).matmul(self.value(b));
+        self.push(v, Op::MatMul(a, b))
+    }
+
+    /// Records the transpose and the product as two nodes.
+    fn matmul_transpose_b(&mut self, a: impl Borrow<NodeId>, b: impl Borrow<NodeId>) -> NodeId {
+        let bt = self.transpose(b);
+        self.matmul(a, bt)
+    }
+
+    fn transpose(&mut self, a: impl Borrow<NodeId>) -> NodeId {
+        let a = *a.borrow();
+        let v = self.value(a).transpose();
+        self.push(v, Op::Transpose(a))
+    }
+
+    fn add(&mut self, a: impl Borrow<NodeId>, b: impl Borrow<NodeId>) -> NodeId {
+        let (a, b) = (*a.borrow(), *b.borrow());
+        let v = self.value(a).add(self.value(b));
+        self.push(v, Op::Add(a, b))
+    }
+
+    fn mul_elem(&mut self, a: impl Borrow<NodeId>, b: impl Borrow<NodeId>) -> NodeId {
+        let (a, b) = (*a.borrow(), *b.borrow());
+        let v = self.value(a).mul_elem(self.value(b));
+        self.push(v, Op::MulElem(a, b))
+    }
+
+    fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
+        let v = self.value(a).scale(s);
+        self.push(v, Op::Scale(a, s))
+    }
+
+    fn add_const(&mut self, a: NodeId, c: &Matrix) -> NodeId {
+        let v = self.value(a).zip_map(c, |x, y| x + y);
+        self.push(v, Op::AddConst(a))
+    }
+
+    fn mul_const(&mut self, a: NodeId, c: &Matrix) -> NodeId {
+        let v = self.value(a).mul_elem(c);
+        self.push(v, Op::MulConst(a, c.clone()))
+    }
+
+    fn add_row_broadcast(&mut self, a: NodeId, bias: impl Borrow<NodeId>) -> NodeId {
+        let bias = *bias.borrow();
+        let v = self.value(a).add_row_broadcast(self.value(bias));
+        self.push(v, Op::AddRowBroadcast(a, bias))
+    }
+
+    fn relu(&mut self, a: NodeId) -> NodeId {
+        let v = self.value(a).map(ops::relu);
+        self.push(v, Op::Relu(a))
+    }
+
+    fn softmax_rows(&mut self, a: NodeId) -> NodeId {
+        let v = ops::softmax_rows(self.value(a));
+        self.push(v, Op::SoftmaxRows(a))
+    }
+
+    fn layer_norm(
+        &mut self,
+        x: impl Borrow<NodeId>,
+        gamma: impl Borrow<NodeId>,
+        beta: impl Borrow<NodeId>,
+        eps: f32,
+    ) -> NodeId {
+        let (x, gamma, beta) = (*x.borrow(), *gamma.borrow(), *beta.borrow());
+        let v = ops::layer_norm_rows(self.value(x), self.value(gamma), self.value(beta), eps);
+        self.push(v, Op::LayerNorm { x, gamma, beta, eps })
+    }
+
+    fn concat_cols(&mut self, a: impl Borrow<NodeId>, b: impl Borrow<NodeId>) -> NodeId {
+        let (a, b) = (*a.borrow(), *b.borrow());
+        let v = self.value(a).concat_cols(self.value(b));
+        self.push(v, Op::ConcatCols(a, b))
+    }
+
+    fn slice_rows(&mut self, a: impl Borrow<NodeId>, start: usize, len: usize) -> NodeId {
+        let a = *a.borrow();
+        let v = self.value(a).slice_rows(start, len);
+        self.push(v, Op::SliceRows(a, start))
+    }
+
+    fn repeat_rows(&mut self, a: impl Borrow<NodeId>, times: usize) -> NodeId {
+        let a = *a.borrow();
+        let v = self.value(a).repeat_rows(times);
+        self.push(v, Op::RepeatRows(a))
+    }
+
+    /// Records each block, growing the stack with one `concat_rows`
+    /// node per block after the first — the tape needs a node for
+    /// every partial stack so backward can split the gradient again.
+    fn stack_rows(&mut self, n: usize, mut block: impl FnMut(&mut Self, usize) -> NodeId) -> NodeId {
+        assert!(n > 0, "stack_rows: no blocks to stack");
+        let mut stack = block(self, 0);
+        for i in 1..n {
+            let next = block(self, i);
+            stack = self.concat_rows(stack, next);
+        }
+        stack
     }
 }
 
@@ -673,7 +662,8 @@ mod tests {
         let x = g.leaf(Matrix::ones(3, 2));
         let w = g.leaf(Matrix::eye(2));
         let b = g.leaf(Matrix::zeros(1, 2));
-        let y = g.linear(x, w, b);
+        let y = g.matmul(x, w);
+        let y = g.add_row_broadcast(y, b);
         let l = g.sum_all(y);
         let grads = g.backward(l);
         // Each bias element receives one gradient per row.

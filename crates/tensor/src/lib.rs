@@ -17,9 +17,13 @@
 //!   gradients for every node, including *parameter bindings* so model
 //!   code can scatter gradients back into embedding tables without ever
 //!   copying whole tables onto the tape.
+//! * [`Forward`] — the ops a model's forward pass is written in, once.
+//!   [`Graph`] evaluates a forward definition onto its tape; [`Eager`]
+//!   evaluates the same definition with no tape, borrowing parameters
+//!   and reusing buffers, for inference and serving. Both produce the
+//!   same bits.
 //! * [`ops`] — numerically stable free functions (softmax, softplus,
-//!   sigmoid, log-sum-exp) shared by forward code and by inference paths
-//!   that do not need gradients.
+//!   sigmoid, log-sum-exp) shared by both evaluators.
 //! * [`rng`] — seeded initialisation helpers (Glorot uniform, Gaussian via
 //!   Box–Muller) so every experiment in the workspace is reproducible from
 //!   a `u64` seed.
@@ -44,7 +48,7 @@
 //! ## Example
 //!
 //! ```
-//! use groupsa_tensor::{Graph, Matrix};
+//! use groupsa_tensor::{Forward, Graph, Matrix};
 //!
 //! // f(W) = sum(relu(x·W)) ; df/dW by reverse mode.
 //! let x = Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]);
@@ -64,9 +68,11 @@
 
 mod matrix;
 pub mod check;
+mod forward;
 mod graph;
 pub mod ops;
 pub mod rng;
 
+pub use forward::{Eager, Forward};
 pub use graph::{Binding, Grads, Graph, NodeId};
 pub use matrix::Matrix;

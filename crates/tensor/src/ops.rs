@@ -91,11 +91,21 @@ pub fn softmax_rows_inplace(m: &mut Matrix) {
     }
 }
 
-/// Row-wise layer normalisation with affine parameters.
-///
-/// Each row is shifted to zero mean and scaled to unit variance
-/// (`eps`-regularised), then scaled by `gamma` and shifted by `beta`
-/// (both `1×cols`).
+/// Shifts `row` to zero mean and scales it to unit variance
+/// (`eps`-regularised) in place, returning the reciprocal standard
+/// deviation it scaled by — shared by layer norm's forward and backward.
+pub(crate) fn normalize_row(row: &mut [f32], eps: f32) -> f32 {
+    let n = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / n;
+    let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
+    let rstd = 1.0 / (var + eps).sqrt();
+    row.iter_mut().for_each(|v| *v = (*v - mean) * rstd);
+    rstd
+}
+
+/// Row-wise layer normalisation with affine parameters: each row is
+/// normalised by [`normalize_row`], then scaled by `gamma` and shifted
+/// by `beta` (both `1×cols`).
 ///
 /// # Panics
 /// If `gamma` or `beta` is not `1×cols`.
@@ -103,14 +113,11 @@ pub fn layer_norm_rows(x: &Matrix, gamma: &Matrix, beta: &Matrix, eps: f32) -> M
     assert_eq!(gamma.shape(), (1, x.cols()), "layer_norm_rows: gamma must be 1x{}", x.cols());
     assert_eq!(beta.shape(), (1, x.cols()), "layer_norm_rows: beta must be 1x{}", x.cols());
     let mut out = x.clone();
-    let n = x.cols() as f32;
     for r in 0..x.rows() {
         let row = out.row_mut(r);
-        let mean = row.iter().sum::<f32>() / n;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let rstd = 1.0 / (var + eps).sqrt();
+        normalize_row(row, eps);
         for ((v, &g), &b) in row.iter_mut().zip(gamma.as_slice()).zip(beta.as_slice()) {
-            *v = (*v - mean) * rstd * g + b;
+            *v = *v * g + b;
         }
     }
     out

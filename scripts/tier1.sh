@@ -81,6 +81,21 @@ if [ "$digest1" != "$digest4" ]; then
 fi
 echo "tier1: parallel-training digest matches serial"
 
+# Numerics pinned across commits: the serial digest (training outcome,
+# parameter checksum, and a checksum of the trained model's serving
+# scores) must equal the committed one. A change that moves training
+# or scoring bits identically at every thread count passes the check
+# above but fails here. To accept an intentional numeric change,
+# regenerate the baseline:
+#     GROUPSA_TRAIN_THREADS=1 ./target/release/train_bench --digest > results/train_digest.json
+if [ "$digest1" != "$(cat results/train_digest.json)" ]; then
+    echo "tier1: training digest differs from results/train_digest.json" >&2
+    echo "  committed: $(cat results/train_digest.json)" >&2
+    echo "  T=1:       $digest1" >&2
+    exit 1
+fi
+echo "tier1: training digest matches the committed results/train_digest.json"
+
 # Serving smoke test: boot groupsa-serve on an ephemeral port (also
 # exporting its frozen model as a snapshot directory) with
 # request-lifecycle telemetry sampling every request and a JSONL trace,
