@@ -419,35 +419,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         },
     );
 
-    // 8. Batched multi-user scoring (one stacked tower pass) vs a
-    //    per-user loop over the same chunk.
-    let chunk: Vec<usize> = (0..num_items.min(256)).collect();
-    let users: Vec<usize> = (0..8usize).collect();
-    let latents: Vec<Option<Matrix>> =
-        users.iter().map(|&u| model.user_latent_frozen(frozen.context(), u)).collect();
-    let latent_refs: Vec<Option<&Matrix>> = latents.iter().map(|h| h.as_ref()).collect();
-    record_gated(
-        &c,
-        &mut out,
-        "batched_user_scoring",
-        format!("{}users x {}items", users.len(), chunk.len()),
-        (users.len() * chunk.len()) as f64,
-        |ben| {
-            ben.iter(|| black_box(model.score_users_items_frozen(&users, &latent_refs, black_box(&chunk))))
-        },
-        |ben| {
-            ben.iter(|| {
-                let per_user: Vec<Vec<f32>> = users
-                    .iter()
-                    .zip(&latent_refs)
-                    .map(|(&u, latent)| model.score_user_items_frozen(u, &chunk, *latent))
-                    .collect();
-                black_box(per_user)
-            })
-        },
-    );
-
-    // 9. Bounded-heap Top-K vs sort-and-truncate at catalog scale.
+    // 8. Bounded-heap Top-K vs sort-and-truncate at catalog scale.
     let tk_n = if p.smoke { 2_000 } else { 10_000 };
     let scored: Vec<Recommendation> = (0..tk_n)
         .map(|i| Recommendation { item: i, score: ((i * 37 + 11) % 101) as f32 * 0.1 })
@@ -462,11 +434,11 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         |ben| ben.iter_batched(|| scored.clone(), |v| black_box(top_k_naive(v, 10))),
     );
 
-    // 10. §II-F, full voting path: frozen group scoring over the
-    //     catalog from the cached post-voting member reps (what a
-    //     served request runs) vs the training-graph path, which
-    //     rebuilds the voting stack per call. The largest group makes
-    //     the voting cost most visible.
+    // 9. §II-F, full voting path: frozen group scoring over the
+    //    catalog from the cached post-voting member reps (what a
+    //    served request runs) vs the training-graph path, which
+    //    rebuilds the voting stack per call. The largest group makes
+    //    the voting cost most visible.
     let ctx = frozen.context();
     let group = (0..ctx.num_groups())
         .max_by_key(|&g| ctx.members[g].len())
@@ -483,7 +455,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         |ben| ben.iter(|| black_box(model.score_group_items(ctx, group, black_box(&all_items)))),
     );
 
-    // 11. §II-F, fast path: the same group served by averaging its
+    // 10. §II-F, fast path: the same group served by averaging its
     //     members' user-task scores instead of voting.
     record(
         &c,
@@ -499,7 +471,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         },
     );
 
-    // 12. Graph substrate: PageRank over the social graph.
+    // 11. Graph substrate: PageRank over the social graph.
     let social = &ctx.social_graph;
     record(
         &c,
@@ -510,7 +482,7 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
         |ben| ben.iter(|| black_box(centrality::pagerank(black_box(social), 0.85, 1e-8, 100))),
     );
 
-    // 13. Graph substrate: every user's TF-IDF Top-H items (H = 5).
+    // 12. Graph substrate: every user's TF-IDF Top-H items (H = 5).
     let num_users = ctx.num_users;
     record(
         &c,

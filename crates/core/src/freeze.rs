@@ -6,11 +6,16 @@
 //! on a [`groupsa_tensor::Graph`]; the entry points here run the same
 //! definitions on the tape-free [`Eager`] evaluator, which borrows the
 //! parameters instead of copying them and records nothing. Both
-//! evaluators compute every value through the same `Matrix` routines,
-//! so these scores are bit-identical to
+//! evaluators compute every value through the same `Matrix` routines
+//! (or, for the fused pair-feature build, the same element-wise
+//! copies and products), so these scores are bit-identical to
 //! [`GroupSa::score_user_items`] / [`GroupSa::score_group_items`] (up
 //! to IEEE sign-of-zero, which `f32 ==` treats as equal). The tests
 //! below and the goldens in `groupsa-serve` pin this down.
+//!
+//! There is one user tower: a served user request and each member of
+//! a fast-mode group (§II-F) both run
+//! [`GroupSa::score_user_items_frozen`].
 //!
 //! The split into *latent* / *member-reps* producers and score
 //! consumers is what makes serving cheap: a `FrozenModel` (in
@@ -64,101 +69,21 @@ impl GroupSa {
         self.user_scores(&mut Eager, user, items, |_| latent.map(Cow::Borrowed)).into_owned().into_vec()
     }
 
-    /// Batched form of [`GroupSa::score_user_items_frozen`]: scores
-    /// the same `items` slice for many users through **one** stacked
-    /// prediction-tower pass instead of one pass per user.
-    ///
-    /// `latents[j]` is user `users[j]`'s cached latent factor (as
-    /// produced by [`GroupSa::user_latent_frozen`]); the slices must
-    /// be equal length. The shared item embeddings are gathered once,
-    /// and the `r₂` tower runs once over the latent-bearing subset.
-    ///
-    /// Every tower op is row-independent (matmul rows accumulate from
-    /// their own input row only; bias add, ReLU and the `w_u` blend
-    /// are element-wise), so row `j·n + i` of the stacked pass is
-    /// bit-identical to the per-user call — the freeze tests pin this.
+    /// [`GroupSa::score_user_items_frozen`] for each of `users` over
+    /// the same `items`: `latents[j]` is user `users[j]`'s cached latent
+    /// factor. Fast group mode (§II-F) scores its members with it.
     ///
     /// # Panics
-    /// If `items` is empty, the slices differ in length, or any id is
-    /// out of range.
+    /// If the slices differ in length, or for any user as
+    /// [`GroupSa::score_user_items_frozen`] does.
     pub fn score_users_items_frozen(
         &self,
         users: &[usize],
         latents: &[Option<&Matrix>],
         items: &[usize],
     ) -> Vec<Vec<f32>> {
-        assert!(!items.is_empty(), "score_users_items_frozen: no items to score");
         assert_eq!(users.len(), latents.len(), "score_users_items_frozen: users/latents length mismatch");
-        if users.is_empty() {
-            return Vec::new();
-        }
-        let n = items.len();
-        // Shared gathers happen once per call, regardless of how many
-        // stacked sub-batches the tower pass below is split into.
-        let ev = self.emb_item.lookup(&mut Eager, &self.store, items); // n×d
-        let w = self.cfg.w_u;
-        let xv = if w != 0.0 && latents.iter().any(|l| l.is_some()) { // lint: allow(float-eq)
-            Some(self.lat_item.lookup(&mut Eager, &self.store, items)) // n×d
-        } else {
-            None
-        };
-        // Cap each stacked tower pass at ~STACK_ROWS rows: past that
-        // the 3d-wide input and intermediates fall out of cache and
-        // the batching win inverts (measured crossover between 512
-        // and 2048 rows at d = 32). Row independence makes the split
-        // invisible in the output bits.
-        const STACK_ROWS: usize = 256;
-        let per = (STACK_ROWS / n).max(1);
-        let mut out = Vec::with_capacity(users.len());
-        for (users, latents) in users.chunks(per).zip(latents.chunks(per)) {
-            let r1 = self.stacked_user_tower(users.iter().map(|&u| self.emb_user.row(&self.store, u)), &ev); // (U·n)×1
-
-            // The r₂ tower only runs for users whose latent exists and
-            // whose blend weight engages it (exact-zero config gate,
-            // same as the per-user path) — exactly when `xv` exists.
-            let with_latent: Vec<usize> = (0..users.len())
-                .filter(|&j| latents[j].is_some() && w != 0.0) // lint: allow(float-eq)
-                .collect();
-            let r2 = match &xv {
-                Some(xv) if !with_latent.is_empty() => {
-                    let heads = with_latent.iter().filter_map(|&j| latents[j]).map(|h| h.row(0));
-                    Some(self.stacked_user_tower(heads, xv)) // (L·n)×1
-                }
-                _ => None,
-            };
-
-            let mut r2_rows = r2.iter().flat_map(|r2| r2.as_slice().chunks_exact(n));
-            for (j, r1_rows) in r1.as_slice().chunks_exact(n).enumerate() {
-                let blend = if with_latent.contains(&j) { r2_rows.next() } else { None };
-                out.push(match blend {
-                    Some(r2_rows) => r1_rows.iter().zip(r2_rows).map(|(&a, &b)| a * (1.0 - w) + b * w).collect(),
-                    None => r1_rows.to_vec(),
-                });
-            }
-        }
-        out
-    }
-
-    /// The user prediction tower over stacked `[a | b | a⊙b]` rows,
-    /// head-major: row `j·n + i` pairs head row `j` with row `i` of
-    /// `items` — per head, the rows the per-user path concatenates.
-    /// Built with row-wise slice copies, not per-element pushes — the
-    /// build is pure data movement and must not eat the batching win.
-    fn stacked_user_tower<'h>(&self, heads: impl Iterator<Item = &'h [f32]> + Clone, items: &Matrix) -> Matrix {
-        let (n, d) = items.shape();
-        let width = 3 * d;
-        let mut cat = vec![0.0f32; heads.clone().count() * n * width];
-        for (rows, head) in cat.chunks_exact_mut(n * width).zip(heads) {
-            for (row, item) in rows.chunks_exact_mut(width).zip(items.rows_iter()) {
-                row[..d].copy_from_slice(head);
-                row[d..2 * d].copy_from_slice(item);
-                for ((o, &a), &b) in row[2 * d..].iter_mut().zip(head).zip(item) {
-                    *o = a * b;
-                }
-            }
-        }
-        let cat = Cow::Owned(Matrix::from_vec(cat.len() / width, width, cat));
-        self.pred_user.forward(&mut Eager, &self.store, &cat).into_owned()
+        users.iter().zip(latents).map(|(&u, &h)| self.score_user_items_frozen(u, items, h)).collect()
     }
 
     /// The post-voting `l×d` member representations (Eq. 1–6) of
@@ -315,43 +240,6 @@ mod tests {
         let model = GroupSa::new(cfg, d.num_users, d.num_items);
         let items = [0usize, 1, 2];
         assert_eq!(model.score_user_items(&ctx, 0, &items), frozen_user_scores(&model, &ctx, 0, &items));
-    }
-
-    #[test]
-    fn batched_user_scores_are_bit_identical_to_per_user_calls() {
-        let (d, ctx) = tiny_world(66);
-        let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
-        let items: Vec<usize> = (0..13).collect(); // odd n stresses row slicing
-        let users: Vec<usize> = vec![0, 1, d.num_users - 1, 2, 0]; // duplicate on purpose
-        let latents: Vec<Option<groupsa_tensor::Matrix>> =
-            users.iter().map(|&u| model.user_latent_frozen(&ctx, u)).collect();
-        let latent_refs: Vec<Option<&groupsa_tensor::Matrix>> = latents.iter().map(|l| l.as_ref()).collect();
-        let batched = model.score_users_items_frozen(&users, &latent_refs, &items);
-        assert_eq!(batched.len(), users.len());
-        for (j, &u) in users.iter().enumerate() {
-            let solo = model.score_user_items_frozen(u, &items, latent_refs[j]);
-            let batched_bits: Vec<u32> = batched[j].iter().map(|s| s.to_bits()).collect();
-            let solo_bits: Vec<u32> = solo.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(batched_bits, solo_bits, "user {u} (batch slot {j})");
-        }
-    }
-
-    #[test]
-    fn batched_user_scores_respect_the_w_u_gate() {
-        let (d, _) = tiny_world(67);
-        let mut cfg = GroupSaConfig::tiny();
-        cfg.w_u = 0.0;
-        let ctx = DataContext::from_train_view(&d, &cfg);
-        let model = GroupSa::new(cfg, d.num_users, d.num_items);
-        let items = [0usize, 1, 2, 3, 4];
-        let latents: Vec<Option<groupsa_tensor::Matrix>> =
-            (0..2).map(|u| model.user_latent_frozen(&ctx, u)).collect();
-        let latent_refs: Vec<Option<&groupsa_tensor::Matrix>> = latents.iter().map(|l| l.as_ref()).collect();
-        let batched = model.score_users_items_frozen(&[0, 1], &latent_refs, &items);
-        for (j, u) in [0usize, 1].into_iter().enumerate() {
-            let solo = model.score_user_items_frozen(u, &items, latent_refs[j]);
-            assert_eq!(batched[j], solo, "user {u} with w_u = 0");
-        }
     }
 
     #[test]

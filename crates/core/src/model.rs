@@ -7,7 +7,7 @@ use groupsa_nn::{
     Embedding, Init, Linear, Mlp, ParamStore, TransformerLayer, VanillaAttention,
 };
 use groupsa_tensor::rng::seeded;
-use groupsa_tensor::{Forward, Graph, Matrix};
+use groupsa_tensor::{Graph, Matrix};
 
 /// The GroupSA model: four embedding tables, the user-modeling
 /// aggregators, the stacked social self-attention voting network, and
@@ -34,7 +34,8 @@ use groupsa_tensor::{Forward, Graph, Matrix};
 /// pairs available at this reproduction's scale; the element-wise
 /// product (the standard NeuMF/GMF feature) makes the affinity
 /// expressible directly and affects the user and group towers
-/// identically, so method comparisons stay fair.
+/// identically, so method comparisons stay fair. Both evaluators build
+/// these rows with one op, [`groupsa_tensor::Forward::pair_features`].
 pub struct GroupSa {
     pub(crate) cfg: GroupSaConfig,
     pub(crate) store: ParamStore,
@@ -174,15 +175,6 @@ impl GroupSa {
     pub fn group_scorer<'a>(&'a self, ctx: &'a DataContext) -> impl Scorer + 'a {
         move |group: usize, items: &[usize]| self.score_group_items(ctx, group, items)
     }
-}
-
-/// The `[a ⊕ b ⊕ a⊙b]` feature rows the prediction towers and the
-/// member attention γ read (see the implementation note on
-/// [`GroupSa`]); `a` and `b` have the same shape.
-pub(crate) fn pair_features<'p, F: Forward<'p>>(f: &mut F, a: &F::Value, b: &F::Value) -> F::Value {
-    let cat = f.concat_cols(a, b);
-    let prod = f.mul_elem(a, b);
-    f.concat_cols(&cat, &prod)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! and the blended user-task scores (Eq. 22–23).
 
 use crate::context::DataContext;
-use crate::model::{pair_features, GroupSa};
+use crate::model::GroupSa;
 use groupsa_nn::{Embedding, Linear, VanillaAttention};
 use groupsa_tensor::{Forward, Graph, NodeId};
 
@@ -83,11 +83,9 @@ impl GroupSa {
         latent: impl FnOnce(&mut F) -> Option<F::Value>,
     ) -> F::Value {
         assert!(!items.is_empty(), "user scores: no items to score");
-        let n = items.len();
         let emb_u = self.emb_user.lookup(f, &self.store, &[user]); // 1×d
-        let eu_rep = f.repeat_rows(&emb_u, n);
         let ev = self.emb_item.lookup(f, &self.store, items); // n×d
-        let cat1 = pair_features(f, &eu_rep, &ev); // n×3d
+        let cat1 = f.pair_features(&emb_u, &ev); // n×3d
         let r1 = self.pred_user.forward(f, &self.store, &cat1); // n×1
 
         let w = self.cfg.w_u;
@@ -99,9 +97,8 @@ impl GroupSa {
         let Some(h) = latent(f) else {
             return r1;
         };
-        let h_rep = f.repeat_rows(&h, n);
         let xv = self.lat_item.lookup(f, &self.store, items); // n×d
-        let cat2 = pair_features(f, &h_rep, &xv); // n×3d
+        let cat2 = f.pair_features(&h, &xv); // n×3d
         let r2 = self.pred_user.forward(f, &self.store, &cat2); // n×1
 
         let a = f.scale(r1, 1.0 - w);

@@ -4,7 +4,7 @@
 
 use crate::config::VotingInput;
 use crate::context::DataContext;
-use crate::model::{pair_features, GroupSa};
+use crate::model::GroupSa;
 use groupsa_tensor::{Eager, Forward, Graph, Matrix, NodeId};
 use rand::Rng;
 use std::borrow::Cow;
@@ -64,9 +64,7 @@ impl GroupSa {
     /// §I's narrative assigns the voting outputs their role here: they
     /// decide *who is heard*.
     fn member_attention<'p, F: Forward<'p>>(&'p self, f: &mut F, post_reps: &F::Value, ev: &F::Value) -> F::Value {
-        let l = f.value(post_reps).rows();
-        let ev_rep = f.repeat_rows(ev, l); // l×d
-        let rows = pair_features(f, &ev_rep, post_reps); // l×3d
+        let rows = f.pair_features(ev, post_reps); // l×3d
         self.group_att.weights(f, &self.store, &rows)
     }
 
@@ -104,7 +102,7 @@ impl GroupSa {
         f.stack_rows(items.len(), |f, idx| {
             let ev = f.slice_rows(&ev_all, idx, 1); // 1×d
             let xg = self.group_rep(f, post_reps, &ev); // 1×d
-            let cat = pair_features(f, &xg, &ev); // 1×3d
+            let cat = f.pair_features(&xg, &ev); // 1×3d
             tower.forward(f, &self.store, &cat) // 1×1
         })
     }

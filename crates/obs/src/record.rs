@@ -4,7 +4,7 @@
 //! A [`RequestRecord`] is the compact trail one request leaves behind
 //! as it flows admission → queue → worker → writer: when it arrived,
 //! whether it was admitted or refused, how long it queued, which
-//! coalesced batch scored it, how long scoring and serialisation took,
+//! drained batch scored it, how long scoring and serialisation took,
 //! and how it ended. Records are *sampled* (see
 //! [`crate::telemetry::Telemetry`]) and kept in a [`RecordRing`] — a
 //! fixed-capacity overwrite-oldest buffer whose push path is a handful
@@ -92,7 +92,7 @@ pub struct RequestRecord {
     pub outcome: RecordOutcome,
     /// Time spent queued before a worker popped it.
     pub queue_us: u64,
-    /// The coalesced batch that drained it (`0` = never batched:
+    /// The drained batch that scored it (`0` = never batched:
     /// refused at admission or answered by a dying pool).
     pub batch: u64,
     /// Model-scoring time (0 for expired/refused requests).

@@ -1,5 +1,5 @@
-//! The inference engine: a bounded admission queue drained by a pool
-//! of worker threads with batch coalescing, per-request deadlines,
+//! The inference engine: a bounded admission queue drained in batches
+//! by a pool of worker threads, with per-request deadlines,
 //! deadline-aware load shedding, atomic model hot-swap, and graceful
 //! drain-then-stop shutdown. Built entirely on `std` —
 //! `Mutex<VecDeque>` + `Condvar`, no external runtime.
@@ -29,7 +29,7 @@ use crate::admission::ServiceEstimate;
 use crate::error::ServeError;
 use crate::frozen::FrozenModel;
 use crate::metrics::{Metrics, StatsSnapshot};
-use crate::protocol::{RecommendRequest, Response, Target};
+use crate::protocol::{RecommendRequest, Response};
 use crate::swap::ModelSlot;
 use groupsa_obs::{RecordOutcome, RequestRecord, Telemetry, TelemetryConfig};
 use std::collections::VecDeque;
@@ -47,7 +47,8 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Admission-queue bound; submissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Most requests one worker pops per queue lock (batch coalescing).
+    /// Most requests one worker pops per queue lock; each popped job
+    /// is then scored on its own.
     pub max_batch: usize,
     /// Default per-request deadline in milliseconds, applied when the
     /// request's own `deadline_ms` is `0`; `0` here means "no
@@ -524,21 +525,7 @@ fn worker_loop(shared: &Shared) {
                 ],
             );
         }
-        // Coalescible jobs — user targets scanning the full catalog
-        // (`exclude_seen = false`), whose candidate sets are therefore
-        // identical — share one stacked scoring pass when two or more
-        // land in the same drained batch. Everything else runs the
-        // per-job path in drain order.
-        let coalesce =
-            batch.iter().filter(|job| catalog_user_id(&job.req).is_some()).count() >= 2;
-        let mut coalesced: Vec<(usize, Job)> = Vec::new();
         for job in batch {
-            if coalesce {
-                if let Some(user) = catalog_user_id(&job.req) {
-                    coalesced.push((user, job));
-                    continue;
-                }
-            }
             let score_started = Instant::now();
             let (response, expired) = execute(&frozen, &job);
             finish_job(
@@ -552,74 +539,18 @@ fn worker_loop(shared: &Shared) {
                 score_started.elapsed(),
             );
         }
-        if !coalesced.is_empty() {
-            run_coalesced(shared, &frozen, traced, popped, batch_id, coalesced);
-        }
     }
 }
 
-/// The user id of a request that can join a shared-candidate batched
-/// scoring pass — a user target whose candidate set is the full
-/// catalog — or `None` for everything else. Capturing the id here
-/// means the coalesced path never re-matches on the target (and so
-/// never needs an unreachable arm).
-fn catalog_user_id(req: &RecommendRequest) -> Option<usize> {
-    match req.target {
-        Target::User { id } if !req.exclude_seen => Some(id),
-        _ => None,
-    }
-}
-
-/// Scores a set of coalescible jobs through one
-/// [`FrozenModel::recommend_users_shared`] pass. Deadlines are checked
-/// at scoring time exactly like [`execute`]; per-job score time is the
-/// shared pass divided evenly across its members.
-fn run_coalesced(
-    shared: &Shared,
-    frozen: &FrozenModel,
-    traced: bool,
-    popped: Instant,
-    batch_id: u64,
-    jobs: Vec<(usize, Job)>,
-) {
-    let mut live: Vec<(usize, Job)> = Vec::with_capacity(jobs.len());
-    let now = Instant::now();
-    for (user, job) in jobs {
-        match job.deadline {
-            Some(deadline) if now > deadline => {
-                let response = ServeError::DeadlineExceeded.into_response(job.req.id);
-                finish_job(shared, traced, popped, batch_id, job, response, true, Duration::ZERO);
-            }
-            _ => live.push((user, job)),
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let requests: Vec<(usize, usize)> =
-        live.iter().map(|(user, job)| (*user, job.req.k)).collect();
-    let score_started = Instant::now();
-    let results = frozen.recommend_users_shared(&requests);
-    let per_job_elapsed = score_started.elapsed() / live.len() as u32;
-    for ((_, job), result) in live.into_iter().zip(results) {
-        let id = job.req.id;
-        let response = match result {
-            Ok(items) => Response::Recommend { id, items },
-            Err(message) => ServeError::Model { message }.into_response(id),
-        };
-        finish_job(shared, traced, popped, batch_id, job, response, false, per_job_elapsed);
-    }
-}
-
-/// Request lifecycle accounting + reply, shared by the per-job and
-/// coalesced paths. Queue-wait (enqueue → popped) is recorded for
-/// every drained job; scoring time only for jobs that ran the model
-/// (and those observations feed the shedding policy's service-time
-/// EWMA). Exactly one outcome counter per drained job, so the
-/// categories stay disjoint and `submitted = completed + errors +
-/// expired + shed` holds after a drain. (An expired request also
-/// *answers* with an `Error` response, but it must not be
-/// double-counted under `errors`.)
+/// Request lifecycle accounting + reply for one drained job.
+/// Queue-wait (enqueue → popped) is recorded for every drained job;
+/// scoring time only for jobs that ran the model (and those
+/// observations feed the shedding policy's service-time EWMA).
+/// Exactly one outcome counter per drained job, so the categories
+/// stay disjoint and `submitted = completed + errors + expired + shed`
+/// holds after a drain. (An expired request also *answers* with an
+/// `Error` response, but it must not be double-counted under
+/// `errors`.)
 fn finish_job(
     shared: &Shared,
     traced: bool,
@@ -720,6 +651,7 @@ fn execute(frozen: &FrozenModel, job: &Job) -> (Response, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Target;
     use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
     use groupsa_data::synthetic::{generate, SyntheticConfig};
 

@@ -312,70 +312,12 @@ impl FrozenModel {
         }
     }
 
-    /// Batched top-`k` for many *user* targets that share the full item
-    /// catalog as their candidate set (`exclude_seen = false`). Each
-    /// chunk is scored for **all** requests through one stacked
-    /// prediction-tower pass ([`GroupSa::score_users_items_frozen`]),
-    /// so `m` coalesced requests cost one tower traversal instead of
-    /// `m`. Per-request results (and cache-hit accounting) are
-    /// bit-identical to calling [`FrozenModel::recommend`] per request.
-    ///
-    /// Each `(user, k)` pair yields its own entry; an out-of-range user
-    /// fails individually without poisoning the batch.
+    /// [`FrozenModel::recommend`] for each `(user, k)` pair over the
+    /// full catalog (`exclude_seen = false`); an out-of-range user
+    /// fails individually. Kept only because `servebench` calls it by
+    /// name (ROADMAP item 1); the engine scores each request on its own.
     pub fn recommend_users_shared(&self, requests: &[(usize, usize)]) -> Vec<Result<Vec<Recommendation>, String>> {
-        let mut results: Vec<Result<Vec<Recommendation>, String>> = requests
-            .iter()
-            .map(|&(user, _)| {
-                if user >= self.ctx.num_users {
-                    Err(format!("user {user} out of range (num_users = {})", self.ctx.num_users))
-                } else {
-                    Ok(Vec::new())
-                }
-            })
-            .collect();
-        // Table reads can fail per user (snapshot I/O); a failed read
-        // downgrades that one request to an error, like out-of-range.
-        let mut valid: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut held: Vec<Option<TableRef<'_>>> = Vec::with_capacity(requests.len());
-        for j in 0..requests.len() {
-            if results[j].is_err() {
-                continue;
-            }
-            match self.tables.user_latent(requests[j].0) {
-                Ok(l) => {
-                    valid.push(j);
-                    held.push(l);
-                }
-                Err(e) => results[j] = Err(e.to_string()),
-            }
-        }
-        if valid.is_empty() || self.ctx.num_items == 0 {
-            return results;
-        }
-        let users: Vec<usize> = valid.iter().map(|&j| requests[j].0).collect();
-        let latent_refs: Vec<Option<&Matrix>> = held.iter().map(|h| h.as_deref()).collect();
-        // One hit per request whose user has a cached latent — the same
-        // counts the per-request path produces.
-        let hits = latent_refs.iter().filter(|l| l.is_some()).count() as u64;
-        self.latent_hits.fetch_add(hits, Ordering::Relaxed);
-
-        let mut accs: Vec<TopK> = valid.iter().map(|&j| TopK::new(requests[j].1)).collect();
-        let mut start = 0;
-        while start < self.ctx.num_items {
-            let end = (start + SCAN_CHUNK).min(self.ctx.num_items);
-            let chunk: Vec<usize> = (start..end).collect();
-            let per_user = self.model.score_users_items_frozen(&users, &latent_refs, &chunk);
-            for (acc, scores) in accs.iter_mut().zip(per_user) {
-                for (&item, score) in chunk.iter().zip(scores) {
-                    acc.push(item, score);
-                }
-            }
-            start = end;
-        }
-        for (&j, acc) in valid.iter().zip(accs) {
-            results[j] = Ok(acc.into_sorted());
-        }
-        results
+        requests.iter().map(|&(id, k)| self.recommend(Target::User { id }, k, false, GroupMode::Voting)).collect()
     }
 
     /// Drives one fused filter→score→select scan over the catalog:

@@ -44,7 +44,7 @@ pub struct Metrics {
     /// only when telemetry is enabled (the stage is otherwise unmetered
     /// so the default path stays byte-for-byte the PR 8 hot path).
     write: Histogram,
-    /// Monotone coalesced-batch ids, handed out by [`Metrics::note_batch`]
+    /// Monotone drained-batch ids, handed out by [`Metrics::note_batch`]
     /// so sampled records can point at the batch that drained them.
     batch_seq: AtomicU64,
     /// Request-lifecycle telemetry: the sampling gate, record ring, and
@@ -140,7 +140,7 @@ impl Metrics {
         self.telemetry.note_latency_us(latency.as_micros() as u64);
     }
 
-    /// Records one coalesced batch of `n` requests popped together,
+    /// Records one drained batch of `n` requests popped together,
     /// returning the batch's monotone id (first batch = 1) for the
     /// sampled records of its members.
     pub fn note_batch(&self, n: usize) -> u64 {

@@ -104,8 +104,9 @@ const GROUP_SIZE: usize = 3;
 
 /// Checks `(user, voting group, fast-average group)` allocation counts
 /// at `items` catalog items against `bounds`. The bounds are the counts
-/// measured at the time they were pinned: the voting path makes 18
-/// allocations per candidate, the fast path none per candidate.
+/// measured at the time they were pinned: the voting path makes 9
+/// allocations per candidate, the user and fast paths none per
+/// candidate.
 fn check(items: usize, bounds: [u64; 3]) {
     let frozen = frozen(items);
     let members = &frozen.context().members;
@@ -123,10 +124,10 @@ fn check(items: usize, bounds: [u64; 3]) {
 
 #[test]
 fn recommend_allocations_at_256_items() {
-    check(256, [22, 4612, 43]);
+    check(256, [12, 2308, 35]);
 }
 
 #[test]
 fn recommend_allocations_at_2560_items() {
-    check(2560, [202, 46102, 394]);
+    check(2560, [102, 23062, 314]);
 }

@@ -115,13 +115,12 @@ fn parallel_responses_are_byte_identical_to_single_threaded() {
 }
 
 #[test]
-fn coalesced_catalog_user_requests_match_direct_scoring() {
+fn concurrent_catalog_user_requests_match_direct_scoring() {
     // A single worker with a wide batch window and many concurrent
     // catalog-user submitters (user target, exclude_seen = false):
-    // drained batches routinely contain ≥2 coalescible jobs, steering
-    // them through the shared stacked-scoring pass. Whether or not a
-    // given request was coalesced is timing-dependent — its response
-    // must be byte-identical to direct frozen scoring either way.
+    // drained batches routinely hold several jobs. Which batch a
+    // request lands in is timing-dependent — its response must be
+    // byte-identical to direct frozen scoring either way.
     let frozen = frozen_world(84);
     let engine = Engine::start(
         Arc::clone(&frozen),

@@ -10,13 +10,17 @@
 //! * [`Eager`] records nothing. Its values are [`Cow`] matrices:
 //!   parameters are *borrowed* from the store instead of copied onto a
 //!   tape, ops that own their input (ReLU, softmax, scaling, the
-//!   additive bias mask) apply in place, and every
-//!   intermediate is dropped as soon as the composition lets go of it.
+//!   additive bias mask, the bias row) apply in place, composite ops
+//!   ([`Forward::pair_features`]) fill one buffer where the tape
+//!   records several nodes, and every intermediate is dropped as soon
+//!   as the composition lets go of it.
 //!
 //! Both evaluators compute every value through the same [`Matrix`] /
-//! [`ops`] routine, so a definition evaluated eagerly is bit-identical
-//! to the same definition recorded on a tape (up to IEEE sign-of-zero,
-//! which `f32 ==` treats as equal) — the property serving relies on.
+//! [`ops`] routine (a fused op makes the same element-wise copies and
+//! products as the nodes it stands for), so a definition evaluated
+//! eagerly is bit-identical to the same definition recorded on a tape
+//! (up to IEEE sign-of-zero, which `f32 ==` treats as equal) — the
+//! property serving relies on.
 
 use crate::{ops, Matrix};
 use std::borrow::{Borrow, Cow};
@@ -105,6 +109,14 @@ pub trait Forward<'p> {
     /// A `1×c` row tiled `times` times.
     fn repeat_rows(&mut self, a: impl Borrow<Self::Value>, times: usize) -> Self::Value;
 
+    /// The pair features `[a | bᵢ | a⊙bᵢ]` of a `1×d` row `a` and each
+    /// row of the `n×d` value `b`: an `n×3d` value, the input of the
+    /// prediction towers and of the member attention γ.
+    ///
+    /// # Panics
+    /// If `a` is not a single row as wide as `b`.
+    fn pair_features(&mut self, a: impl Borrow<Self::Value>, b: impl Borrow<Self::Value>) -> Self::Value;
+
     /// Stacks the blocks `block(self, 0)`, …, `block(self, n − 1)`
     /// vertically, evaluating them in order.
     ///
@@ -173,8 +185,9 @@ impl<'p> Forward<'p> for Eager {
         Cow::Owned(a.mul_elem(c))
     }
 
-    fn add_row_broadcast(&mut self, a: Cow<'p, Matrix>, bias: impl Borrow<Cow<'p, Matrix>>) -> Cow<'p, Matrix> {
-        Cow::Owned(a.add_row_broadcast(bias.borrow()))
+    fn add_row_broadcast(&mut self, mut a: Cow<'p, Matrix>, bias: impl Borrow<Cow<'p, Matrix>>) -> Cow<'p, Matrix> {
+        a.to_mut().add_row_broadcast_assign(bias.borrow());
+        a
     }
 
     fn relu(&mut self, mut a: Cow<'p, Matrix>) -> Cow<'p, Matrix> {
@@ -209,6 +222,26 @@ impl<'p> Forward<'p> for Eager {
         Cow::Owned(a.borrow().repeat_rows(times))
     }
 
+    /// Fills one `n×3d` buffer with row copies and products — the
+    /// values the tape's tile, concatenations and product compute,
+    /// without materialising any of them.
+    fn pair_features(&mut self, a: impl Borrow<Cow<'p, Matrix>>, b: impl Borrow<Cow<'p, Matrix>>) -> Cow<'p, Matrix> {
+        let (a, b): (&Matrix, &Matrix) = (a.borrow(), b.borrow());
+        let (n, d) = b.shape();
+        assert_eq!(a.shape(), (1, d), "pair_features: a is {:?}, expected a 1x{d} row", a.shape());
+        let a = a.as_slice();
+        let width = 3 * d;
+        let mut cat = vec![0.0f32; n * width];
+        for (row, item) in cat.chunks_exact_mut(width.max(1)).zip(b.rows_iter()) {
+            row[..d].copy_from_slice(a);
+            row[d..2 * d].copy_from_slice(item);
+            for ((o, &x), &y) in row[2 * d..].iter_mut().zip(a).zip(item) {
+                *o = x * y;
+            }
+        }
+        Cow::Owned(Matrix::from_vec(n, width, cat))
+    }
+
     /// Evaluates each block and copies it into one buffer sized after
     /// the first block: a single allocation for the whole stack.
     fn stack_rows(&mut self, n: usize, mut block: impl FnMut(&mut Self, usize) -> Cow<'p, Matrix>) -> Cow<'p, Matrix> {
@@ -238,6 +271,7 @@ mod tests {
         gamma: Matrix,
         beta: Matrix,
         mask: Matrix,
+        pair: Matrix,
     }
 
     /// A small composition exercising every op, written once.
@@ -264,7 +298,18 @@ mod tests {
         let row = f.slice_rows(&t, 1, 1);
         let r = f.repeat_rows(&row, 2); // 2×3
         let tall = f.stack_rows(2, |f, i| if i == 0 { f.slice_rows(&t, 0, 4) } else { f.slice_rows(&r, 0, 2) }); // 6×3
-        f.stack_rows(3, |f, i| f.slice_rows(&tall, 2 * i, 2))
+        let out = f.stack_rows(3, |f, i| f.slice_rows(&tall, 2 * i, 2)); // 6×3
+        let a = f.param_full(4, &p.pair); // 1×2, holding +∞ and −0.0
+        let pairs = f.stack_rows(2, |f, i| {
+            if i == 0 {
+                let b = f.slice_rows(&x, 1, 1);
+                f.pair_features(&a, &b) // n = 1: 1×6
+            } else {
+                f.pair_features(&a, &h) // n = 3: 3×6
+            }
+        });
+        let pairs = f.transpose(&pairs); // 6×4
+        f.concat_cols(&out, &pairs) // 6×7
     }
 
     fn params() -> Params {
@@ -274,6 +319,7 @@ mod tests {
             gamma: Matrix::from_vec(1, 2, vec![1.2, 0.8]),
             beta: Matrix::from_vec(1, 2, vec![0.1, -0.1]),
             mask: Matrix::from_fn(3, 3, |r, c| if r != c && (r + c) % 3 == 0 { f32::NEG_INFINITY } else { 0.0 }),
+            pair: Matrix::from_vec(1, 2, vec![f32::INFINITY, -0.0]),
         }
     }
 
@@ -284,8 +330,13 @@ mod tests {
         let taped = composition(&mut g, &p);
         let eager = composition(&mut Eager, &p);
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(g.value(taped).shape(), (6, 3));
+        assert_eq!(g.value(taped).shape(), (6, 7));
         assert_eq!(bits(g.value(taped)), bits(&eager));
+        // The pair features carry the special values through: −0.0
+        // copied and multiplied, ∞ times a ReLU zero.
+        let pairs: Vec<f32> = eager.rows_iter().flat_map(|r| r[3..].to_vec()).collect();
+        assert!(pairs.iter().any(|x| x.to_bits() == (-0.0f32).to_bits()), "{pairs:?}");
+        assert!(pairs.iter().any(|x| x.is_nan()), "{pairs:?}");
     }
 
     #[test]

@@ -476,6 +476,18 @@ impl<'p> Forward<'p> for Graph {
         self.push(v, Op::RepeatRows(a))
     }
 
+    /// Records the tile of `a` (skipped when `b` is one row), two
+    /// concatenations and the product — no fused node, so backward
+    /// runs the ops' own rules.
+    fn pair_features(&mut self, a: impl Borrow<NodeId>, b: impl Borrow<NodeId>) -> NodeId {
+        let (a, b) = (*a.borrow(), *b.borrow());
+        let n = self.value(b).rows();
+        let a = if n == 1 { a } else { self.repeat_rows(a, n) };
+        let cat = self.concat_cols(a, b);
+        let prod = self.mul_elem(a, b);
+        self.concat_cols(cat, prod)
+    }
+
     /// Records each block, growing the stack with one `concat_rows`
     /// node per block after the first — the tape needs a node for
     /// every partial stack so backward can split the gradient again.

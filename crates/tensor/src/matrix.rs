@@ -263,6 +263,16 @@ impl Matrix {
     /// # Panics
     /// If `bias` is not `1×cols`.
     pub fn add_row_broadcast(&self, bias: &Self) -> Self {
+        let mut out = self.clone();
+        out.add_row_broadcast_assign(bias);
+        out
+    }
+
+    /// `self += bias` on every row, for a `1×cols` row vector `bias`.
+    ///
+    /// # Panics
+    /// If `bias` is not `1×cols`.
+    pub fn add_row_broadcast_assign(&mut self, bias: &Self) {
         assert_eq!(
             bias.shape(),
             (1, self.cols),
@@ -271,13 +281,11 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&bias.data) {
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(&bias.data) {
                 *o += b;
             }
         }
-        out
     }
 
     /// Standard matrix product `self · other`.
