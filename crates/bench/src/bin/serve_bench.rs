@@ -648,8 +648,8 @@ fn tcp_bench(
         return Err(format!("server saw {} submissions, expected at least {expected}", stats.submitted));
     }
     println!(
-        "server stats: submitted={} completed={} errors={} batches={} mean_batch={:.2}",
-        stats.submitted, stats.completed, stats.errors, stats.batches, stats.mean_batch
+        "server stats: submitted={} completed={} errors={}",
+        stats.submitted, stats.completed, stats.errors
     );
 
     if metrics {

@@ -202,7 +202,7 @@ pub const ATOMIC_SITES: &[AtomicEntry] = &[
     ("crates/serve/src/frozen.rs", "rep_hits", "load", "Relaxed",
      "statistic read; staleness is acceptable"),
     ("crates/serve/src/metrics.rs", "batch_seq", "fetch_add", "Relaxed",
-     "batch id for telemetry labels; only uniqueness matters"),
+     "per-pop id for telemetry records; only uniqueness matters"),
 ];
 
 /// One detected atomic op site.

@@ -105,11 +105,9 @@ fn render(page: &ParsedPage, addr: &str, tick: u64) -> String {
     line(
         &mut out,
         format!(
-            "  queue: depth {} (max {})  batches {} (max {})  connections {} (max {})  reloads {}",
+            "  queue: depth {} (max {})  connections {} (max {})  reloads {}",
             page.value_with("groupsa_serve_queue_depth", ("stat", "last")).unwrap_or(0.0),
             page.value_with("groupsa_serve_queue_depth", ("stat", "max")).unwrap_or(0.0),
-            value(page, "groupsa_serve_batches_total"),
-            page.value_with("groupsa_serve_batch_size", ("stat", "max")).unwrap_or(0.0),
             page.value_with("groupsa_serve_open_connections", ("stat", "last")).unwrap_or(0.0),
             page.value_with("groupsa_serve_open_connections", ("stat", "max")).unwrap_or(0.0),
             value(page, "groupsa_serve_reloads_total"),

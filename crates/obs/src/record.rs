@@ -4,7 +4,7 @@
 //! A [`RequestRecord`] is the compact trail one request leaves behind
 //! as it flows admission → queue → worker → writer: when it arrived,
 //! whether it was admitted or refused, how long it queued, which
-//! drained batch scored it, how long scoring and serialisation took,
+//! worker pop took it, how long scoring and serialisation took,
 //! and how it ended. Records are *sampled* (see
 //! [`crate::telemetry::Telemetry`]) and kept in a [`RecordRing`] — a
 //! fixed-capacity overwrite-oldest buffer whose push path is a handful
@@ -92,8 +92,11 @@ pub struct RequestRecord {
     pub outcome: RecordOutcome,
     /// Time spent queued before a worker popped it.
     pub queue_us: u64,
-    /// The drained batch that scored it (`0` = never batched:
-    /// refused at admission or answered by a dying pool).
+    /// The id of the worker pop that took it, unique per popped
+    /// request (`0` = never popped: refused at admission or answered
+    /// by a dying pool). Kept only because the serve benchmark groups
+    /// records by it; delete it once the benchmark stops (ROADMAP
+    /// item 1).
     pub batch: u64,
     /// Model-scoring time (0 for expired/refused requests).
     pub score_us: u64,

@@ -20,7 +20,6 @@
 //! | `request` | `id`:num, `outcome`:{ok,error,expired}, `queue_us`:num, `score_us`:num |
 //! | `request_record` | `id`, `arrival_us`, `queue_us`, `batch`, `score_us`, `write_us`, `total_us`:num, `outcome`:{ok,error,expired,shed,rejected} |
 //! | `window_snapshot` | `window_s`, `submitted_per_s`, `completed_per_s`, `errors_per_s`, `shed_per_s`, `limited_per_s`, `p50_latency_us`, `p95_latency_us`:num |
-//! | `batch`   | `n`:num, `form_us`:num                                            |
 //! | `metrics` | `registry`:object with `counters`/`gauges`/`histograms` arrays    |
 //! | `stats`   | `stats`:object                                                    |
 //! | `run`     | `label`:str                                                       |
@@ -145,9 +144,6 @@ pub fn validate_event(event: &Json) -> Result<String, String> {
                 ],
             )?;
         }
-        "batch" => {
-            require_numbers(event, &["n", "form_us"])?;
-        }
         "metrics" => {
             let registry = require(event, "registry")?;
             for table in ["counters", "gauges", "histograms"] {
@@ -227,14 +223,13 @@ mod tests {
                  \"errors_per_s\":0,\"shed_per_s\":2.5,\"limited_per_s\":0,\
                  \"p50_latency_us\":256,\"p95_latency_us\":2048",
             ),
-            base("batch", "\"n\":4,\"form_us\":2"),
             base("metrics", "\"registry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}"),
             base("stats", "\"stats\":{\"submitted\":1}"),
             base("run", "\"label\":\"serve_bench\""),
         ];
         let text = lines.join("\n");
         let summary = validate_trace(&text).expect("all kinds must validate");
-        assert_eq!(summary.events, 10);
+        assert_eq!(summary.events, 9);
         assert_eq!(summary.count("span"), 1);
         assert_eq!(summary.count("epoch"), 1);
         assert_eq!(summary.count("request_record"), 1);
@@ -269,7 +264,7 @@ mod tests {
 
     #[test]
     fn missing_required_field_is_rejected_with_line_number() {
-        let text = format!("{}\n{}", base("batch", "\"n\":4,\"form_us\":2"), base("span", "\"dur_us\":10,\"depth\":0"));
+        let text = format!("{}\n{}", base("run", "\"label\":\"x\""), base("span", "\"dur_us\":10,\"depth\":0"));
         let err = validate_trace(&text).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         assert!(err.contains("name"), "{err}");
@@ -277,7 +272,11 @@ mod tests {
 
     #[test]
     fn wrong_type_unknown_kind_and_bad_enum_are_rejected() {
-        assert!(validate_trace(&base("batch", "\"n\":\"four\",\"form_us\":2")).is_err());
+        let wrong_type = base("request", "\"id\":\"seven\",\"outcome\":\"ok\",\"queue_us\":1,\"score_us\":1");
+        assert!(validate_trace(&wrong_type).is_err());
+        // Workers pop one job at a time; the old per-drain `batch`
+        // event is no longer a kind.
+        assert!(validate_trace(&base("batch", "\"n\":4,\"form_us\":2")).is_err());
         assert!(validate_trace(&base("teapot", "")).is_err());
         let bad_outcome = base("request", "\"id\":1,\"outcome\":\"dropped\",\"queue_us\":1,\"score_us\":1");
         let err = validate_trace(&bad_outcome).unwrap_err();

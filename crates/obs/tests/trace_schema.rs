@@ -76,7 +76,6 @@ fn emitted_trace_validates_against_schema() {
             ("score_us", to_json(&120u64)),
         ],
     );
-    emit("batch", &[("n", to_json(&4usize)), ("form_us", to_json(&2u64))]);
     emit("metrics", &[("registry", to_json(&global().snapshot()))]);
     emit("run", &[("label", to_json(&"trace-schema-test"))]);
 
@@ -98,7 +97,6 @@ fn emitted_trace_validates_against_schema() {
     assert_eq!(summary.count("epoch"), 1);
     assert_eq!(summary.count("window"), 1);
     assert_eq!(summary.count("request"), 1);
-    assert_eq!(summary.count("batch"), 1);
     assert_eq!(summary.count("metrics"), 1);
     assert_eq!(summary.count("run"), 1);
 

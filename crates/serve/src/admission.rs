@@ -55,10 +55,11 @@ impl ServiceEstimate {
 
     /// Predicted queue wait (µs) for a request arriving behind
     /// `queued` others with `workers` threads draining: the shed
-    /// policy formula `queued × ewma_service / workers`. Deliberately
-    /// optimistic — it ignores the batch each worker is mid-way
-    /// through — so shedding only fires on real queue buildup, never
-    /// on an idle engine.
+    /// policy formula `queued × ewma_service / workers`. Every waiting
+    /// job is in `queued` (a worker pops one job at a time, so none
+    /// hide in a worker's hands); it is still optimistic — it ignores
+    /// the job each worker is mid-way through — so shedding only fires
+    /// on real queue buildup, never on an idle engine.
     pub(crate) fn predicted_wait_us(&self, queued: usize, workers: usize) -> u64 {
         (queued as u64).saturating_mul(self.service_us()) / workers.max(1) as u64
     }

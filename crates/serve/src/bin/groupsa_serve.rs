@@ -2,7 +2,7 @@
 //! TCP.
 //!
 //! ```text
-//! groupsa-serve [--port N] [--workers N] [--queue N] [--batch N]
+//! groupsa-serve [--port N] [--workers N] [--queue N]
 //!               [--deadline-ms N] [--shed true|false]
 //!               [--rate-limit N] [--rate-burst N]
 //!               [--obs-sample 1/N]
@@ -10,6 +10,8 @@
 //!               [--seed N] [--checkpoint PATH]
 //!               [--snapshot-export DIR]
 //! ```
+//!
+//! A flag not listed above is a usage error.
 //!
 //! `--port 0` (the default) binds an ephemeral port; the chosen
 //! address is announced on stdout as `LISTENING 127.0.0.1:<port>` so
@@ -41,13 +43,37 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-fn parse_flags() -> Result<HashMap<String, String>, String> {
+const USAGE: &str = "usage: groupsa-serve [--port N] [--workers N] [--queue N] [--deadline-ms N] \
+[--shed true|false] [--rate-limit N] [--rate-burst N] [--obs-sample 1/N] \
+[--dataset tiny|yelp|douban] [--seed N] [--checkpoint PATH] [--snapshot-export DIR]";
+
+/// Every flag the server understands.
+const FLAGS: &[&str] = &[
+    "port",
+    "workers",
+    "queue",
+    "deadline-ms",
+    "shed",
+    "rate-limit",
+    "rate-burst",
+    "obs-sample",
+    "dataset",
+    "seed",
+    "checkpoint",
+    "snapshot-export",
+];
+
+/// Parses `--key value` pairs, refusing any flag not in [`FLAGS`].
+fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(key) = args.next() {
         let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{key}` (flags are --key value)"));
+            return Err(format!("unexpected argument `{key}` (flags are --key value)\n{USAGE}"));
         };
+        if !FLAGS.contains(&name) {
+            return Err(format!("unknown flag --{name}\n{USAGE}"));
+        }
         let value = args.next().ok_or_else(|| format!("--{name} needs a value"))?;
         flags.insert(name.to_string(), value);
     }
@@ -85,12 +111,11 @@ fn tiny_dataset(seed: u64) -> SyntheticConfig {
 }
 
 fn run() -> Result<(), String> {
-    let flags = parse_flags()?;
+    let flags = parse_flags(std::env::args().skip(1))?;
     let port: u16 = num(&flags, "port", 0)?;
     let cfg = EngineConfig {
         workers: num(&flags, "workers", 2)?,
         queue_capacity: num(&flags, "queue", 256)?,
-        max_batch: num(&flags, "batch", 8)?,
         default_deadline_ms: num(&flags, "deadline-ms", 0)?,
         shed: num(&flags, "shed", true)?,
         // The flag beats the environment; `None` falls back to
@@ -164,5 +189,27 @@ fn main() -> ExitCode {
             eprintln!("groupsa-serve: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_flags(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        for flag in ["--batch", "--typo"] {
+            let err = parse(&["--workers", "2", flag, "8"]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag}")) && err.contains("usage:"), "{err}");
+        }
+        assert!(parse(&["workers", "2"]).unwrap_err().contains("usage:"));
+        assert!(parse(&["--port"]).unwrap_err().contains("--port needs a value"));
+        let flags = parse(&["--port", "0", "--obs-sample", "1/1", "--snapshot-export", "d"]).unwrap();
+        assert_eq!(flags.get("obs-sample").map(String::as_str), Some("1/1"));
+        assert_eq!(flags.len(), 3);
     }
 }

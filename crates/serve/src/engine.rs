@@ -1,16 +1,14 @@
-//! The inference engine: a bounded admission queue drained in batches
-//! by a pool of worker threads, with per-request deadlines,
+//! The inference engine: a bounded admission queue drained one job per
+//! pop by a pool of worker threads, with per-request deadlines,
 //! deadline-aware load shedding, atomic model hot-swap, and graceful
 //! drain-then-stop shutdown. Built entirely on `std` —
 //! `Mutex<VecDeque>` + `Condvar`, no external runtime.
 //!
-//! Two submission paths share one admission policy:
-//!
-//! * [`Engine::submit`] blocks until the reply arrives (a rendezvous
-//!   `sync_channel(1)` per request) — in-process callers.
-//! * [`Engine::submit_streamed`] returns immediately and delivers the
-//!   reply into a caller-supplied channel — the NDJSON pipelining
-//!   path, where one connection keeps many requests in flight.
+//! Every reply travels one way: [`Engine::submit_streamed`] returns
+//! immediately and delivers an [`Outbound`] into a caller-supplied
+//! channel — the NDJSON pipelining path, where one connection keeps
+//! many requests in flight. [`Engine::submit`] is that path into a
+//! fresh channel followed by a blocking `recv`, for in-process callers.
 //!
 //! Backpressure is structural either way: at most `queue_capacity`
 //! requests wait, and anything beyond that is rejected immediately
@@ -21,7 +19,7 @@
 //! it expire in the queue after the deadline has burned.
 //!
 //! The model itself lives in a [`crate::swap::ModelSlot`]: workers pin
-//! the published snapshot once per drained batch, so
+//! the published snapshot once per popped job, so
 //! [`Engine::publish`]/[`Engine::reload_from_snapshot`] swap a
 //! retrained model atomically with zero dropped or re-queued requests.
 
@@ -35,7 +33,7 @@ use groupsa_obs::{RecordOutcome, RequestRecord, Telemetry, TelemetryConfig};
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Sender, SyncSender};
+use std::sync::mpsc::Sender;
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,9 +45,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Admission-queue bound; submissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Most requests one worker pops per queue lock; each popped job
-    /// is then scored on its own.
-    pub max_batch: usize,
     /// Default per-request deadline in milliseconds, applied when the
     /// request's own `deadline_ms` is `0`; `0` here means "no
     /// deadline".
@@ -72,7 +67,6 @@ impl Default for EngineConfig {
         Self {
             workers: 2,
             queue_capacity: 256,
-            max_batch: 8,
             default_deadline_ms: 0,
             shed: true,
             telemetry: None,
@@ -80,26 +74,17 @@ impl Default for EngineConfig {
     }
 }
 
-/// Where a job's reply goes: a blocking submitter's rendezvous channel
-/// or a pipelined connection's response stream. Send failures are
-/// ignored in both cases — a receiver that went away just means nobody
-/// is left to read the answer.
-enum Reply {
-    /// [`Engine::submit`]: the submitter blocks in `recv`.
-    Blocking(SyncSender<Response>),
-    /// [`Engine::submit_streamed`]: the connection's writer drains it.
-    Stream(Sender<Outbound>),
-}
-
-/// What the engine delivers into a streamed reply channel: the
+/// What the engine delivers into a job's reply channel: the
 /// response plus, when telemetry is enabled, the request's lifecycle
 /// record awaiting its final stage (the connection writer measures
-/// serialize-and-write time and files the finished record).
+/// serialize-and-write time and files the finished record;
+/// [`Engine::submit`] files it with no write stage).
 pub struct Outbound {
     /// The wire response.
     pub response: Response,
     /// The pending lifecycle record; `None` when telemetry is off or
-    /// the response never rode the engine (protocol-level replies).
+    /// the response never reached a worker (admission refusals,
+    /// protocol-level replies).
     pub record: Option<PendingRecord>,
 }
 
@@ -140,7 +125,9 @@ struct Job {
     /// Admission-time sampling decision (false when telemetry is off),
     /// carried so the id is hashed once per request.
     sampled: bool,
-    reply: Reply,
+    /// Where the reply goes. A send error means the receiver went away
+    /// (nobody is left to read the answer) and is ignored.
+    reply: Sender<Outbound>,
 }
 
 struct Shared {
@@ -210,7 +197,7 @@ impl Engine {
     /// Runs the shared admission policy and, on success, enqueues the
     /// job and wakes a worker. `Err` carries the ready-to-send refusal
     /// response (rejection, shed, or poison).
-    fn enqueue(&self, req: RecommendRequest, reply: Reply) -> Result<(), Response> {
+    fn enqueue(&self, req: RecommendRequest, reply: Sender<Outbound>) -> Result<(), Response> {
         let id = req.id;
         let deadline_ms = match req.deadline_ms {
             0 => self.shared.cfg.default_deadline_ms,
@@ -274,16 +261,25 @@ impl Engine {
         Ok(())
     }
 
-    /// Submits one request and blocks until its response is ready.
+    /// Submits one request and blocks until its response is ready:
+    /// [`Engine::submit_streamed`] into a fresh channel, then `recv`.
     /// Admission fails fast (an `Error` response) when the engine is
     /// stopping, the queue is full, or the deadline is predicted
-    /// unmeetable.
+    /// unmeetable. The in-process path has no write stage, so a
+    /// pending lifecycle record is filed here with a zero write time.
     pub fn submit(&self, req: RecommendRequest) -> Response {
         let id = req.id;
-        let (tx, rx) = mpsc::sync_channel(1);
-        match self.enqueue(req, Reply::Blocking(tx)) {
-            Err(refusal) => refusal,
-            Ok(()) => rx.recv().unwrap_or_else(|_| ServeError::WorkerLost.into_response(id)),
+        let (tx, rx) = mpsc::channel();
+        self.submit_streamed(req, tx);
+        match rx.recv() {
+            Ok(Outbound { response, record }) => {
+                if let Some(pending) = record {
+                    let (record, sampled) = pending.finish(Duration::ZERO);
+                    self.telemetry().observe(record, sampled);
+                }
+                response
+            }
+            Err(_) => ServeError::WorkerLost.into_response(id),
         }
     }
 
@@ -293,7 +289,7 @@ impl Engine {
     /// line and keeps reading, so many requests ride the engine at
     /// once while a single writer drains `reply` in completion order.
     pub fn submit_streamed(&self, req: RecommendRequest, reply: Sender<Outbound>) {
-        if let Err(refusal) = self.enqueue(req, Reply::Stream(reply.clone())) {
+        if let Err(refusal) = self.enqueue(req, reply.clone()) {
             let _ = reply.send(Outbound::plain(refusal));
         }
     }
@@ -329,8 +325,8 @@ impl Engine {
     }
 
     /// Atomically publishes a replacement frozen model. In-flight
-    /// batches finish against the snapshot they pinned; every later
-    /// batch scores against `frozen`. Rejects a universe mismatch so
+    /// jobs finish against the snapshot they pinned; every later job
+    /// scores against `frozen`. Rejects a universe mismatch so
     /// queued requests' id spaces can never dangle across a swap.
     pub fn publish(&self, frozen: Arc<FrozenModel>) -> Result<(), String> {
         let current = self.shared.model.load();
@@ -372,7 +368,14 @@ impl Engine {
     /// submitter blocked forever. Idempotent — later calls just
     /// re-snapshot.
     pub fn shutdown(&self) -> StatsSnapshot {
-        self.shared.stopping.store(true, Ordering::SeqCst);
+        {
+            // Raise the flag under the queue lock: a worker checks it
+            // under the same lock before it waits, so the wake-up below
+            // cannot slip in between its check and its wait and leave
+            // it asleep forever.
+            let _queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared.stopping.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         // Join the pool even if a panicking thread poisoned the handle
         // list — shutdown must still drain and report.
@@ -460,15 +463,7 @@ fn answer_worker_lost(shared: &Shared, jobs: Vec<Job>) {
                 job.sampled,
             );
         }
-        let response = ServeError::WorkerLost.into_response(job.req.id);
-        match job.reply {
-            Reply::Blocking(tx) => {
-                let _ = tx.send(response);
-            }
-            Reply::Stream(tx) => {
-                let _ = tx.send(Outbound::plain(response));
-            }
-        }
+        let _ = job.reply.send(Outbound::plain(ServeError::WorkerLost.into_response(job.req.id)));
     }
 }
 
@@ -484,23 +479,14 @@ fn retire_draining(shared: &Shared, mut queue: MutexGuard<'_, VecDeque<Job>>) {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        // The `GROUPSA_TRACE` gate, re-read per iteration: one atomic
-        // load, so untraced serving pays nothing for the lifecycle
-        // events below.
-        let traced = groupsa_obs::enabled();
-        let (batch, form_us) = {
+        let job = {
             let mut queue = match shared.queue.lock() {
                 Ok(queue) => queue,
                 Err(poisoned) => return retire_draining(shared, poisoned.into_inner()),
             };
             loop {
-                if !queue.is_empty() {
-                    // Batch-form time: the drain itself, not the idle
-                    // condvar wait before work arrived.
-                    let t0 = traced.then(Instant::now);
-                    let n = queue.len().min(shared.cfg.max_batch.max(1));
-                    let batch = queue.drain(..n).collect::<Vec<Job>>();
-                    break (batch, t0.map_or(0, |t| t.elapsed().as_micros() as u64));
+                if let Some(job) = queue.pop_front() {
+                    break job;
                 }
                 if shared.stopping.load(Ordering::SeqCst) {
                     return; // queue drained and no more admissions
@@ -512,55 +498,27 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let popped = Instant::now();
-        // Pin the published model once per batch: a hot-swap lands
-        // between batches, never inside one.
+        // Pin the published model for this job: a hot-swap lands
+        // between jobs, never inside one.
         let frozen = shared.model.load();
-        let batch_id = shared.metrics.note_batch(batch.len());
-        if traced {
-            groupsa_obs::emit(
-                "batch",
-                &[
-                    ("n", groupsa_obs::to_json(&batch.len())),
-                    ("form_us", groupsa_obs::to_json(&form_us)),
-                ],
-            );
-        }
-        for job in batch {
-            let score_started = Instant::now();
-            let (response, expired) = execute(&frozen, &job);
-            finish_job(
-                shared,
-                traced,
-                popped,
-                batch_id,
-                job,
-                response,
-                expired,
-                score_started.elapsed(),
-            );
-        }
+        let (response, expired) = execute(&frozen, &job);
+        finish_job(shared, popped, job, response, expired);
     }
 }
 
-/// Request lifecycle accounting + reply for one drained job.
-/// Queue-wait (enqueue → popped) is recorded for every drained job;
+/// Request lifecycle accounting + reply for one popped job, called
+/// right after it ran, so the scoring stage is the time since `popped`.
+/// Queue-wait (enqueue → popped) is recorded for every popped job;
 /// scoring time only for jobs that ran the model (and those
 /// observations feed the shedding policy's service-time EWMA).
-/// Exactly one outcome counter per drained job, so the categories
+/// Exactly one outcome counter per popped job, so the categories
 /// stay disjoint and `submitted = completed + errors + expired + shed`
 /// holds after a drain. (An expired request also *answers* with an
 /// `Error` response, but it must not be double-counted under
 /// `errors`.)
-fn finish_job(
-    shared: &Shared,
-    traced: bool,
-    popped: Instant,
-    batch_id: u64,
-    job: Job,
-    response: Response,
-    expired: bool,
-    score_elapsed: Duration,
-) {
+fn finish_job(shared: &Shared, popped: Instant, job: Job, response: Response, expired: bool) {
+    let score_elapsed = popped.elapsed();
+    let pop_id = shared.metrics.note_pop();
     let queue_wait = popped.saturating_duration_since(job.enqueued);
     shared.metrics.note_queue_wait(queue_wait);
     let outcome = if expired {
@@ -577,7 +535,9 @@ fn finish_job(
             RecordOutcome::Completed
         }
     };
-    if traced {
+    // The `GROUPSA_TRACE` gate: one atomic load, so untraced serving
+    // pays nothing for the lifecycle event.
+    if groupsa_obs::enabled() {
         groupsa_obs::emit(
             "request",
             &[
@@ -594,37 +554,23 @@ fn finish_job(
         arrival_us: telemetry.us_since_start(job.enqueued),
         outcome,
         queue_us: queue_wait.as_micros() as u64,
-        batch: batch_id,
+        batch: pop_id,
         score_us: score_elapsed.as_micros() as u64,
         write_us: 0,
         total_us: 0,
         slow: false,
     });
-    // A submitter that gave up (the pipelined writer died with its
+    // The receiver files the finished record via [`PendingRecord`]. A
+    // submitter that gave up (the pipelined writer died with its
     // connection) surfaces as a send error; drop silently.
-    match job.reply {
-        Reply::Blocking(tx) => {
-            // No write stage on the in-process path: the record closes
-            // here, with the rendezvous hand-off as the total.
-            if let Some(mut record) = record {
-                record.total_us = job.enqueued.elapsed().as_micros() as u64;
-                telemetry.observe(record, job.sampled);
-            }
-            let _ = tx.send(response);
-        }
-        Reply::Stream(tx) => {
-            // The connection's writer thread measures the write stage
-            // and files the finished record via [`PendingRecord`].
-            let _ = tx.send(Outbound {
-                response,
-                record: record.map(|record| PendingRecord {
-                    record,
-                    sampled: job.sampled,
-                    enqueued: job.enqueued,
-                }),
-            });
-        }
-    }
+    let _ = job.reply.send(Outbound {
+        response,
+        record: record.map(|record| PendingRecord {
+            record,
+            sampled: job.sampled,
+            enqueued: job.enqueued,
+        }),
+    });
 }
 
 /// Runs one job, returning its response and whether it was dropped on
@@ -700,7 +646,7 @@ mod tests {
         let mut receivers = Vec::new();
         let mut jobs = Vec::new();
         for id in 0..3u64 {
-            let (tx, rx) = mpsc::sync_channel(1);
+            let (tx, rx) = mpsc::channel();
             receivers.push(rx);
             shared.metrics.note_submitted();
             jobs.push(Job {
@@ -715,12 +661,12 @@ mod tests {
                 deadline: None,
                 enqueued: Instant::now(),
                 sampled: false,
-                reply: Reply::Blocking(tx),
+                reply: tx,
             });
         }
         answer_worker_lost(&shared, jobs);
         for rx in receivers {
-            let resp = rx.recv().expect("every abandoned job is answered");
+            let resp = rx.recv().expect("every abandoned job is answered").response;
             assert!(
                 matches!(resp, Response::Error { ref error, .. } if error.contains("worker dropped")),
                 "{resp:?}"

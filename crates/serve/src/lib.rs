@@ -18,7 +18,7 @@
 //!   idea, which *is* also available as a request mode).
 //! * [`engine`] — a hermetic worker pool (`std::thread` + channels):
 //!   bounded admission queue, deadline-aware load shedding fed by an
-//!   observed service-time EWMA, batched dequeue, per-request
+//!   observed service-time EWMA, one job per worker pop, per-request
 //!   deadlines, atomic model hot-swap, graceful drain-then-stop
 //!   shutdown.
 //! * [`protocol`] — the typed NDJSON request/response wire format,

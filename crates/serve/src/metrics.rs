@@ -33,9 +33,6 @@ pub struct Metrics {
     limited: Counter,
     reloads: Counter,
     connections: Gauge,
-    batches: Counter,
-    batched_requests: Counter,
-    max_batch: Gauge,
     queue_depth: Gauge,
     latency: Histogram,
     queue_wait: Histogram,
@@ -44,8 +41,8 @@ pub struct Metrics {
     /// only when telemetry is enabled (the stage is otherwise unmetered
     /// so the default path stays byte-for-byte the PR 8 hot path).
     write: Histogram,
-    /// Monotone drained-batch ids, handed out by [`Metrics::note_batch`]
-    /// so sampled records can point at the batch that drained them.
+    /// Monotone per-pop ids, handed out by [`Metrics::note_pop`] so a
+    /// sampled record names the pop that took its job.
     batch_seq: AtomicU64,
     /// Request-lifecycle telemetry: the sampling gate, record ring, and
     /// sliding windows. `Telemetry::disabled()` under `Default`, so
@@ -140,13 +137,9 @@ impl Metrics {
         self.telemetry.note_latency_us(latency.as_micros() as u64);
     }
 
-    /// Records one drained batch of `n` requests popped together,
-    /// returning the batch's monotone id (first batch = 1) for the
-    /// sampled records of its members.
-    pub fn note_batch(&self, n: usize) -> u64 {
-        self.batches.inc();
-        self.batched_requests.add(n as u64);
-        self.max_batch.set(n as u64);
+    /// Records one job popped by a worker, returning its monotone pop
+    /// id (first pop = 1) for the job's sampled record.
+    pub fn note_pop(&self) -> u64 {
         self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -183,8 +176,6 @@ impl Metrics {
         let queue_wait = self.queue_wait.snapshot();
         let score = self.score.snapshot();
         let write = self.write.snapshot();
-        let batches = self.batches.get();
-        let batched = self.batched_requests.get();
         StatsSnapshot {
             submitted: self.submitted.get(),
             completed: self.completed.get(),
@@ -196,9 +187,7 @@ impl Metrics {
             reloads: self.reloads.get(),
             open_connections: self.connections.last(),
             max_open_connections: self.connections.max(),
-            batches,
-            mean_batch: if batches == 0 { 0.0 } else { batched as f64 / batches as f64 },
-            max_batch: self.max_batch.max(),
+            mean_batch: if queue_wait.count == 0 { 0.0 } else { 1.0 },
             max_queue_depth: self.queue_depth.max(),
             last_queue_depth: self.queue_depth.last(),
             mean_latency_us: latency.mean,
@@ -240,14 +229,11 @@ impl Metrics {
             ("groupsa_serve_shed_total", self.shed.get()),
             ("groupsa_serve_limited_total", self.limited.get()),
             ("groupsa_serve_reloads_total", self.reloads.get()),
-            ("groupsa_serve_batches_total", self.batches.get()),
-            ("groupsa_serve_batched_requests_total", self.batched_requests.get()),
         ] {
             e.counter(name, value);
         }
         for (name, gauge) in [
             ("groupsa_serve_open_connections", &self.connections),
-            ("groupsa_serve_batch_size", &self.max_batch),
             ("groupsa_serve_queue_depth", &self.queue_depth),
         ] {
             e.labeled_gauge(name, &[("stat", "last")], gauge.last() as f64);
@@ -325,10 +311,7 @@ pub const EXPOSITION_METRICS: &[&str] = &[
     "groupsa_serve_shed_total",
     "groupsa_serve_limited_total",
     "groupsa_serve_reloads_total",
-    "groupsa_serve_batches_total",
-    "groupsa_serve_batched_requests_total",
     "groupsa_serve_open_connections",
-    "groupsa_serve_batch_size",
     "groupsa_serve_queue_depth",
     "groupsa_serve_latency_us",
     "groupsa_serve_queue_wait_us",
@@ -399,12 +382,11 @@ pub struct StatsSnapshot {
     pub open_connections: u64,
     /// Most connection threads ever live at once.
     pub max_open_connections: u64,
-    /// Coalesced batches executed.
-    pub batches: u64,
-    /// Mean requests per batch.
+    /// Jobs per worker pop: 1.0 once any job left the queue, 0.0
+    /// before (each pop takes one job). Kept only because the serve
+    /// benchmark reads it; delete it once the benchmark stops
+    /// (ROADMAP item 1).
     pub mean_batch: f64,
-    /// Largest batch.
-    pub max_batch: u64,
     /// Deepest queue observed at enqueue time (high-watermark).
     pub max_queue_depth: u64,
     /// Most recently sampled queue depth (pairs with the watermark:
@@ -463,9 +445,7 @@ impl_json_struct!(StatsSnapshot {
     reloads,
     open_connections,
     max_open_connections,
-    batches,
     mean_batch,
-    max_batch,
     max_queue_depth,
     last_queue_depth,
     mean_latency_us,
@@ -543,18 +523,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_queue_stats_track_extremes() {
+    fn queue_stats_track_extremes() {
         let m = Metrics::new();
-        m.note_batch(1);
-        m.note_batch(7);
-        m.note_batch(4);
         m.note_queue_depth(3);
         m.note_queue_depth(11);
         m.note_queue_depth(2);
         let s = m.snapshot(CacheStats::default());
-        assert_eq!(s.batches, 3);
-        assert_eq!(s.max_batch, 7);
-        assert!((s.mean_batch - 4.0).abs() < 1e-12);
         assert_eq!(s.max_queue_depth, 11);
     }
 
@@ -696,11 +670,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_ids_are_monotone_from_one() {
+    fn pop_ids_are_monotone_from_one() {
         let m = Metrics::new();
-        assert_eq!(m.note_batch(3), 1);
-        assert_eq!(m.note_batch(1), 2);
-        assert_eq!(m.note_batch(5), 3);
+        assert_eq!(m.note_pop(), 1);
+        assert_eq!(m.note_pop(), 2);
+        assert_eq!(m.note_pop(), 3);
+    }
+
+    #[test]
+    fn mean_batch_reads_one_once_a_job_left_the_queue() {
+        let m = Metrics::new();
+        assert_eq!(m.snapshot(CacheStats::default()).mean_batch, 0.0);
+        m.note_queue_wait(Duration::from_micros(5));
+        m.note_queue_wait(Duration::from_micros(9));
+        assert_eq!(m.snapshot(CacheStats::default()).mean_batch, 1.0);
     }
 
     #[test]

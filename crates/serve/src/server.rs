@@ -24,12 +24,17 @@
 //! ([`ServerConfig::rate_limit`]) answers over-budget requests with
 //! `rate limited` *before* they reach the engine — limited requests
 //! are never counted as submitted.
+//!
+//! A request line is at most [`MAX_LINE_BYTES`] long: a longer line is
+//! answered with a typed `bad request` naming the cap and the
+//! connection is closed, so a client that never sends a newline cannot
+//! grow server memory.
 
 use crate::admission::TokenBucket;
 use crate::engine::{Engine, Outbound};
 use crate::error::ServeError;
 use crate::protocol::{Request, Response};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -43,6 +48,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// How long shutdown waits for live connections to finish on their own
 /// before severing their sockets.
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+
+/// The longest request line the server reads, newline excluded. Real
+/// requests are a few hundred bytes; the cap bounds what one
+/// connection can make the server buffer.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Connection-layer policy knobs (the engine has its own
 /// [`crate::engine::EngineConfig`]).
@@ -220,16 +230,35 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, stop: &AtomicBool,
             if cfg.rate_burst > 0 { cfg.rate_burst } else { cfg.rate_limit },
         )
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client went away mid-line (or was severed)
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        // One byte past the cap is enough to tell an over-long line;
+        // the trailing newline, if any, parses as JSON whitespace.
+        buf.clear();
+        match reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
+            // End of stream, or the client went away mid-line (or was
+            // severed).
+            Ok(0) | Err(_) => break,
+            Ok(n) if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') => {
+                // The rest of the line is never read: refuse it and
+                // close the connection.
+                let refusal = ServeError::BadRequest {
+                    message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                }
+                .into_response(0);
+                let _ = tx.send(Outbound::plain(refusal));
+                break;
+            }
+            Ok(_) => {}
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break; // not text: the stream is not NDJSON
         };
         if line.trim().is_empty() {
             continue;
         }
-        let request = match groupsa_json::from_str::<Request>(&line) {
+        let request = match groupsa_json::from_str::<Request>(line) {
             Ok(request) => request,
             Err(e) => {
                 let refusal = ServeError::BadRequest { message: e.to_string() }.into_response(0);
@@ -267,7 +296,7 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, stop: &AtomicBool,
             Request::Reload { id, dir } => {
                 // Synchronous on the reader thread: later lines from
                 // this connection see the new model, and in-flight
-                // requests finish on whichever snapshot their batch
+                // requests finish on whichever snapshot their job
                 // pinned.
                 let response = match engine.reload_from_snapshot(&dir) {
                     Ok(()) => Response::Reloaded { id },

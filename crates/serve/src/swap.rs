@@ -3,17 +3,17 @@
 //! [`ModelSlot`] holds the *current* [`FrozenModel`] behind a
 //! `Mutex<Arc<..>>` (std-only; the ArcSwap idea without the crate).
 //! Readers take the lock only long enough to clone the `Arc` — a few
-//! nanoseconds, once per drained *batch*, never per request — and then
-//! score against their pinned snapshot with zero further
+//! nanoseconds, once per popped job, next to milliseconds of scoring —
+//! and then score against their pinned snapshot with zero further
 //! synchronisation. Publishing a retrained model is one pointer store
 //! under the same lock, so a swap is atomic from every reader's point
 //! of view:
 //!
-//! * a batch popped before the swap finishes scoring against the old
+//! * a job popped before the swap finishes scoring against the old
 //!   snapshot (its `Arc` keeps the old tables alive until the last
-//!   in-flight batch drops it);
-//! * a batch popped after the swap scores entirely against the new one;
-//! * no batch ever observes a half-published model, and no request is
+//!   in-flight job drops it);
+//! * a job popped after the swap scores entirely against the new one;
+//! * no job ever observes a half-published model, and no request is
 //!   dropped or re-queued by a reload.
 //!
 //! Nothing in this module can panic while holding the lock (clone and
@@ -42,7 +42,7 @@ impl ModelSlot {
     }
 
     /// Atomically publishes `frozen`; readers that already pinned the
-    /// old snapshot keep it alive until they finish their batch.
+    /// old snapshot keep it alive until they finish their job.
     pub(crate) fn store(&self, frozen: Arc<FrozenModel>) {
         *self.current.lock().unwrap_or_else(PoisonError::into_inner) = frozen;
     }

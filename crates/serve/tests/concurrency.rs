@@ -116,18 +116,17 @@ fn parallel_responses_are_byte_identical_to_single_threaded() {
 
 #[test]
 fn concurrent_catalog_user_requests_match_direct_scoring() {
-    // A single worker with a wide batch window and many concurrent
-    // catalog-user submitters (user target, exclude_seen = false):
-    // drained batches routinely hold several jobs. Which batch a
-    // request lands in is timing-dependent — its response must be
-    // byte-identical to direct frozen scoring either way.
+    // A single worker and many concurrent catalog-user submitters
+    // (user target, exclude_seen = false): the queue routinely holds
+    // several jobs. Where a request lands in the queue is
+    // timing-dependent — its response must be byte-identical to
+    // direct frozen scoring either way.
     let frozen = frozen_world(84);
     let engine = Engine::start(
         Arc::clone(&frozen),
         EngineConfig {
             workers: 1,
             queue_capacity: 256,
-            max_batch: 16,
             default_deadline_ms: 0,
             shed: true,
             telemetry: None,
@@ -210,7 +209,6 @@ fn deadlines_and_queue_bounds_are_enforced() {
         EngineConfig {
             workers: 1,
             queue_capacity: 4,
-            max_batch: 2,
             default_deadline_ms: 0,
             shed: true,
             telemetry: None,

@@ -71,7 +71,6 @@ fn poisoned_queue_answers_every_submitter_instead_of_stranding_them() {
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
-            max_batch: 1,
             default_deadline_ms: 0,
             shed: false,
             telemetry: None,

@@ -2,7 +2,7 @@
 //! retrained `groupsa-snapshot` directory while the engine is under
 //! concurrent load drops **zero** requests and misroutes **zero**
 //! responses — every reply matches its request id and is byte-identical
-//! to direct frozen scoring, whichever side of the swap its batch
+//! to direct frozen scoring, whichever side of the swap its job
 //! landed on (an f32 snapshot reproduces the in-memory model
 //! bit-for-bit, so both sides agree on the bytes).
 
@@ -83,7 +83,6 @@ fn hot_swap_under_load_drops_and_misroutes_nothing() {
         EngineConfig {
             workers: 2,
             queue_capacity: 256,
-            max_batch: 4,
             default_deadline_ms: 0,
             shed: false,
             telemetry: None,
@@ -103,7 +102,7 @@ fn hot_swap_under_load_drops_and_misroutes_nothing() {
         }));
     }
 
-    // Swap mid-flight. Some batches score on the memory-backed model,
+    // Swap mid-flight. Some jobs score on the memory-backed model,
     // later ones on the lazy snapshot — the responses must not care.
     engine.reload_from_snapshot(&dir).expect("hot swap");
 

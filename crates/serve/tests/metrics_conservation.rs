@@ -67,7 +67,6 @@ fn drained_categories_are_disjoint_and_conserve_submissions() {
         EngineConfig {
             workers: 1,
             queue_capacity: 256,
-            max_batch: 4,
             default_deadline_ms: 0,
             shed: false,
             telemetry: None,
@@ -161,7 +160,6 @@ fn overload_sheds_at_admission_and_conserves_submissions() {
         EngineConfig {
             workers: 1,
             queue_capacity: 256,
-            max_batch: 1,
             default_deadline_ms: 0,
             shed: true,
             telemetry: None,
@@ -224,7 +222,6 @@ fn sampled_records_reconcile_with_conservation_counters() {
         EngineConfig {
             workers: 1,
             queue_capacity: 64,
-            max_batch: 2,
             default_deadline_ms: 0,
             shed: true,
             // Sample everything, capture nothing as "slow" (so the

@@ -14,13 +14,16 @@
 //!   explicit `engine is shutting down` line;
 //! * responses used to be written inline by the reader thread, one
 //!   round-trip at a time — now a client may pipeline many requests
-//!   and match replies by id.
+//!   and match replies by id;
+//! * the reader used to buffer a request line of any length — now a
+//!   line past `MAX_LINE_BYTES` gets a typed refusal and the
+//!   connection closes.
 
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
 use groupsa_serve::engine::{Engine, EngineConfig};
 use groupsa_serve::protocol::{Request, Response, ServeMode, Target};
-use groupsa_serve::server::{self, ServerConfig};
+use groupsa_serve::server::{self, ServerConfig, MAX_LINE_BYTES};
 use groupsa_serve::FrozenModel;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -267,6 +270,44 @@ fn rate_limited_requests_get_typed_refusals() {
     let stats = engine.stats();
     assert_eq!(stats.limited, limited);
     assert_eq!(stats.submitted, ok, "limited requests are never submitted to the engine");
+
+    shutdown_server(addr);
+    server.join().expect("server thread").expect("server run");
+}
+
+/// A client that sends 1 MiB without a newline gets a typed
+/// `bad request` naming the line cap, and its connection closes; the
+/// server keeps serving other connections.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
+    let (addr, _engine, server) = boot(frozen_world(55), ServerConfig::default());
+    let (stream, mut reader) = connect(addr);
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    // Write from another thread: the server stops reading at the cap,
+    // so the tail of the write fails once it closes the connection.
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+        })
+    };
+    match read_response(&mut reader) {
+        Response::Error { id: 0, error } => {
+            assert!(error.starts_with("bad request"), "{error}");
+            assert!(error.contains(&MAX_LINE_BYTES.to_string()), "the refusal names the cap: {error}");
+        }
+        other => panic!("expected a bad request refusal, got {other:?}"),
+    }
+    writer.join().expect("writer thread");
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the connection closes after the refusal, got {rest:?}"
+    );
+
+    let (mut stream, mut reader) = connect(addr);
+    send_line(&mut stream, &recommend(1, 3));
+    assert!(matches!(read_response(&mut reader), Response::Recommend { id: 1, .. }));
 
     shutdown_server(addr);
     server.join().expect("server thread").expect("server run");

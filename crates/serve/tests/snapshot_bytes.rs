@@ -19,8 +19,6 @@ fn drive(m: &Metrics) {
         m.note_score(Duration::from_micros(100 + 3 * i));
         m.note_completed(Duration::from_micros(120 + 3 * i));
     }
-    m.note_batch(8);
-    m.note_batch(3);
     m.note_rejected();
     m.note_error();
     m.note_expired();
@@ -60,7 +58,6 @@ fn snapshot_keys_appear_in_declaration_order() {
         "\"errors\"",
         "\"rejected\"",
         "\"expired\"",
-        "\"batches\"",
         "\"mean_batch\"",
         "\"latency_buckets\"",
         "\"num_groups\"",

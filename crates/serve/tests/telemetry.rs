@@ -6,7 +6,7 @@
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
 use groupsa_obs::TelemetryConfig;
-use groupsa_serve::engine::{Engine, EngineConfig};
+use groupsa_serve::engine::{Engine, EngineConfig, Outbound};
 use groupsa_serve::metrics::EXPOSITION_METRICS;
 use groupsa_serve::protocol::{RecommendRequest, Request, Response, ServeMode, Target};
 use groupsa_serve::server::{self, ServerConfig};
@@ -14,17 +14,21 @@ use groupsa_serve::FrozenModel;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const NUM_USERS: usize = 60;
 
 fn frozen_world(seed: u64) -> Arc<FrozenModel> {
+    sized_world(seed, 40)
+}
+
+fn sized_world(seed: u64, num_items: usize) -> Arc<FrozenModel> {
     let dataset = generate(&SyntheticConfig {
         name: format!("serve-telemetry-{seed}"),
         seed,
         num_users: NUM_USERS,
-        num_items: 40,
+        num_items,
         num_groups: 25,
         num_topics: 4,
         latent_dim: 4,
@@ -84,6 +88,79 @@ fn responses_are_bit_identical_with_telemetry_on_and_off() {
         digests.push(out);
     }
     assert_eq!(digests[0], digests[1], "telemetry must not change a single response byte");
+}
+
+fn median(mut values: Vec<u64>) -> u64 {
+    values.sort_unstable();
+    values[values.len() / 2]
+}
+
+/// Each record accounts for its own wait: with one worker and a burst
+/// of slow voting-group requests queued back to back, a job's time
+/// behind the jobs scored before it must show up in its own
+/// `queue_us`, not vanish between the stages. Whatever the stages do
+/// not explain (`total − queue − score − write`: the reply hand-off)
+/// stays below one scoring time in the median, and every popped job
+/// carries its own pop id.
+#[test]
+fn a_record_accounts_for_its_own_wait() {
+    // 2,000 candidates per voting-group request: scoring takes about
+    // 2 ms in a release build, far above the reply hand-off.
+    let frozen = sized_world(37, 2_000);
+    let engine = Engine::start(
+        frozen,
+        EngineConfig {
+            workers: 1,
+            telemetry: Some(TelemetryConfig {
+                sample_every: 1,
+                slow_us: u64::MAX,
+                ring_capacity: 512,
+            }),
+            ..EngineConfig::default()
+        },
+    );
+    let n = 16u64;
+    let (tx, rx) = mpsc::channel::<Outbound>();
+    for id in 0..n {
+        let req = RecommendRequest {
+            id,
+            target: Target::Group { id: (id as usize) % 25 },
+            k: 5,
+            exclude_seen: false,
+            mode: ServeMode::Voting,
+            deadline_ms: 0,
+        };
+        engine.submit_streamed(req, tx.clone());
+    }
+    drop(tx);
+    // Close each record the moment its reply arrives, as a connection
+    // writer would, with no write stage.
+    for outbound in rx {
+        assert!(matches!(outbound.response, Response::Recommend { .. }), "{:?}", outbound.response);
+        let pending = outbound.record.expect("1/1 sampling attaches a record");
+        let (record, sampled) = pending.finish(Duration::ZERO);
+        engine.telemetry().observe(record, sampled);
+    }
+    engine.shutdown();
+
+    let records = engine.telemetry().records();
+    assert_eq!(records.len(), n as usize);
+    let mut pops: Vec<u64> = records.iter().map(|r| r.batch).collect();
+    pops.sort_unstable();
+    pops.dedup();
+    assert_eq!(pops.len(), records.len(), "every popped record carries its own pop id");
+    let unexplained = median(
+        records
+            .iter()
+            .map(|r| r.total_us.saturating_sub(r.queue_us + r.score_us + r.write_us))
+            .collect(),
+    );
+    let score = median(records.iter().map(|r| r.score_us).collect());
+    assert!(
+        unexplained < score,
+        "median unexplained {unexplained} us is not below the median score {score} us: \
+         a record hides wait behind other jobs' scoring"
+    );
 }
 
 fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
@@ -199,7 +276,7 @@ fn metrics_dump_over_tcp_parses_and_names_every_contract_metric() {
     assert_eq!(records.len(), n as usize, "1/1 sampling filed one record per request");
     assert!(records.iter().all(|r| r.slow), "threshold 0 marks everything slow");
     assert!(records.iter().any(|r| r.write_us > 0), "write stage reached the records");
-    assert!(records.iter().all(|r| r.batch >= 1), "every drained record points at a batch");
+    assert!(records.iter().all(|r| r.batch >= 1), "every popped record carries a pop id");
     assert!(
         records.iter().all(|r| r.total_us >= r.queue_us.saturating_add(r.score_us)),
         "the end-to-end total covers its stages"

@@ -146,19 +146,19 @@ wait "$serve_pid"
 echo "tier1: serve smoke test passed (roundtrip, pipelined, metrics page, obs_top, hot-swap)"
 
 # Traced serving with telemetry on: the smoke server above sampled
-# every request, so its trace must hold request/batch lifecycle events,
+# every request, so its trace must hold request lifecycle events,
 # per-request lifecycle records, shutdown window snapshots and a final
 # stats snapshot, all schema-valid.
 ./target/release/trace_check "$trace_dir/serve_telemetry_trace.jsonl" \
-    run batch request request_record window_snapshot stats
+    run request request_record window_snapshot stats
 echo "tier1: telemetry-sampled serve trace holds schema-valid request records and window snapshots"
 
 # Traced serving with telemetry off: a short un-sampled boot must still
-# emit request/batch lifecycle events and a final stats snapshot.
+# emit request lifecycle events and a final stats snapshot.
 boot_serve "$trace_dir/serve_trace.jsonl"
 ./target/release/serve_bench --addr "$addr" --clients 2 --requests 8 --shutdown true >/dev/null
 wait "$serve_pid"
-./target/release/trace_check "$trace_dir/serve_trace.jsonl" run batch request stats
+./target/release/trace_check "$trace_dir/serve_trace.jsonl" run request stats
 echo "tier1: un-sampled serve trace is a schema-valid lifecycle trace"
 
 # Observability: with GROUPSA_TRACE set, a training run must leave a
