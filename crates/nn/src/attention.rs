@@ -20,26 +20,26 @@ use groupsa_tensor::{Forward, Matrix};
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
 
-/// A per-call timer into one of a layer's two histograms in the
-/// process-wide metrics registry: `names[0]` (`*.forward_us`) for calls
-/// recorded on a tape, `names[1]` (`*.infer_us`) for eager ones —
-/// `None` (one atomic load, no clock read) unless `GROUPSA_TRACE` is on.
-/// The `Arc` handles are cached in `slots`, so the registry lock is
-/// taken once per histogram per process.
+/// A per-call timer into a layer's `*.forward_us` histogram in the
+/// process-wide metrics registry, for calls recorded on a tape only.
+/// Eager calls stay untimed: γ runs once per candidate item when
+/// serving, and a clock read at that grain would distort what it
+/// measures. `None` (one atomic load, no clock read) unless
+/// `GROUPSA_TRACE` is on. The `Arc` handle is cached in `slot`, so the
+/// registry lock is taken once per histogram per process.
 fn layer_timer<'p, F: Forward<'p>>(
-    slots: &'static [OnceLock<Arc<Histogram>>; 2],
-    names: [&'static str; 2],
+    slot: &'static OnceLock<Arc<Histogram>>,
+    name: &'static str,
 ) -> Option<ScopedTimer<'static>> {
-    if !groupsa_obs::enabled() {
+    if !F::TAPE || !groupsa_obs::enabled() {
         return None;
     }
-    let i = usize::from(!F::TAPE);
-    groupsa_obs::maybe_timer(slots[i].get_or_init(|| groupsa_obs::global().histogram(names[i])))
+    groupsa_obs::maybe_timer(slot.get_or_init(|| groupsa_obs::global().histogram(name)))
 }
 
-static ATTENTION: [OnceLock<Arc<Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
-static VOTING_ROUND: [OnceLock<Arc<Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
-static VANILLA: [OnceLock<Arc<Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
+static ATTENTION: OnceLock<Arc<Histogram>> = OnceLock::new();
+static VOTING_ROUND: OnceLock<Arc<Histogram>> = OnceLock::new();
+static VANILLA: OnceLock<Arc<Histogram>> = OnceLock::new();
 
 /// Builds the `{0, −∞}` additive mask of paper Eq. (5) from a boolean
 /// adjacency: `allowed[i][j] == true` keeps the attention edge `i → j`.
@@ -97,7 +97,7 @@ impl SelfAttention {
         x: &F::Value,
         mask: Option<&Matrix>,
     ) -> (F::Value, F::Value) {
-        let _t = layer_timer::<F>(&ATTENTION, ["nn.attention.forward_us", "nn.attention.infer_us"]);
+        let _t = layer_timer::<F>(&ATTENTION, "nn.attention.forward_us");
         let wq = f.param_full(self.wq, store.value(self.wq));
         let wk = f.param_full(self.wk, store.value(self.wk));
         let wv = f.param_full(self.wv, store.value(self.wv));
@@ -159,7 +159,7 @@ impl TransformerLayer {
         mask: Option<&Matrix>,
         training: bool,
     ) -> F::Value {
-        let _t = layer_timer::<F>(&VOTING_ROUND, ["nn.voting_round.forward_us", "nn.voting_round.infer_us"]);
+        let _t = layer_timer::<F>(&VOTING_ROUND, "nn.voting_round.forward_us");
         let (z, _) = self.attn.forward(f, store, x, mask);
         let z = self.dropout.forward(f, rng, z, training);
         let res = f.add(x, &z);
@@ -210,7 +210,7 @@ impl VanillaAttention {
     /// The scorer: `rows` is `n×in_dim`; returns the `1×n` softmax
     /// weight row.
     pub fn weights<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, rows: &F::Value) -> F::Value {
-        let _t = layer_timer::<F>(&VANILLA, ["nn.vanilla_attention.forward_us", "nn.vanilla_attention.infer_us"]);
+        let _t = layer_timer::<F>(&VANILLA, "nn.vanilla_attention.forward_us");
         let s = self.raw_scores(f, store, rows);
         f.softmax_rows(s)
     }

@@ -11,10 +11,10 @@
 //! [`parse`]; `obs_top` renders its dashboard from the parsed samples.
 //!
 //! Metric names are sanitised through [`sanitize`] (`.` and any other
-//! non-`[a-zA-Z0-9_]` byte become `_`), so registry names like
-//! `nn.attention.forward_us` expose as `nn_attention_forward_us`.
+//! non-`[a-zA-Z0-9_]` byte become `_`), so a dotted name like
+//! `nn.attention.forward_us` exposes as `nn_attention_forward_us`.
 
-use crate::registry::{bucket_upper, HistogramSnapshot, RegistrySnapshot};
+use crate::registry::{bucket_upper, HistogramSnapshot};
 
 /// Rewrites `name` into the exposition charset: `[a-zA-Z0-9_]`, with
 /// every other byte (registry dots, say) replaced by `_`.
@@ -126,23 +126,6 @@ impl Exposition {
         self.sample(&format!("{name}_bucket"), &[("le", "+Inf")], snapshot.count as f64);
         self.sample(&format!("{name}_sum"), &[], snapshot.sum as f64);
         self.sample(&format!("{name}_count"), &[], snapshot.count as f64);
-    }
-
-    /// Renders an entire [`RegistrySnapshot`] (names prefixed with
-    /// `prefix`, sanitised).
-    pub fn registry(&mut self, prefix: &str, snapshot: &RegistrySnapshot) {
-        for counter in &snapshot.counters {
-            self.counter(&format!("{prefix}{}", counter.name), counter.value);
-        }
-        for gauge in &snapshot.gauges {
-            let name = sanitize(&format!("{prefix}{}", gauge.name));
-            self.declare(&name, "gauge");
-            self.sample(&name, &[("stat", "last")], gauge.last as f64);
-            self.sample(&name, &[("stat", "max")], gauge.max as f64);
-        }
-        for histogram in &snapshot.histograms {
-            self.histogram(&format!("{prefix}{}", histogram.name), &histogram.histogram);
-        }
     }
 
     /// The finished page text.
@@ -301,21 +284,6 @@ mod tests {
         // Cumulative counts never decrease in page order.
         let buckets = page.all("lat_bucket");
         assert!(buckets.windows(2).all(|w| w[0].value <= w[1].value));
-    }
-
-    #[test]
-    fn registry_snapshots_render_with_prefix() {
-        let r = crate::registry::Registry::new();
-        r.counter("hits").inc();
-        r.gauge("depth").set(7);
-        r.histogram("nn.forward_us").record(100);
-        let mut e = Exposition::new();
-        e.registry("reg_", &r.snapshot());
-        let page = parse(&e.render()).unwrap();
-        assert_eq!(page.value("reg_hits"), Some(1.0));
-        assert_eq!(page.value_with("reg_depth", ("stat", "last")), Some(7.0));
-        assert_eq!(page.value_with("reg_depth", ("stat", "max")), Some(7.0));
-        assert_eq!(page.value("reg_nn_forward_us_count"), Some(1.0));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   taken on handle creation, never on the update path. The serve
 //!   crate's request metrics are built from these primitives, and a
 //!   process-wide [`global`] registry collects cross-cutting timers
-//!   (e.g. the `nn.*` per-call histograms).
+//!   (the `nn.*.forward_us` histograms of taped training calls).
 //! * [`trace`] — structured span tracing and a JSONL event emitter
 //!   gated by the `GROUPSA_TRACE=path` environment variable. When the
 //!   variable is unset, [`enabled`] is a single atomic load and every

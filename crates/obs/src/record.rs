@@ -27,8 +27,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a recorded request left the system. The wire names (lowercase,
-/// via [`RecordOutcome::name`]) extend the `request` trace event's
-/// `ok`/`error`/`expired` vocabulary with the two admission refusals.
+/// via [`RecordOutcome::name`]) are the `request_record` trace event's
+/// `outcome`: `ok`/`error`/`expired` for popped jobs plus the two
+/// admission refusals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordOutcome {
     /// Answered successfully.

@@ -332,8 +332,8 @@ impl Registry {
 }
 
 /// The process-wide registry: cross-cutting instrumentation (the
-/// `nn.*` per-call timers, bench markers) records here, and trace
-/// `metrics` events dump it.
+/// `nn.*.forward_us` timers of taped training calls) records here, and
+/// training's trace `metrics` event dumps it.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

@@ -17,9 +17,7 @@
 //! | `span`    | `name`:str, `dur_us`:num, `depth`:num                             |
 //! | `epoch`   | `stage`:{user,group,mix}, `epoch`, `loss`, `lr`, `seconds`, `examples`, `examples_per_sec`, `forward_us`, `backward_us`, `merge_us`, `step_us` |
 //! | `window`  | `stage`:str, `round`, `start`, `len`, `forward_us`, `backward_us`, `merge_us`, `step_us` |
-//! | `request` | `id`:num, `outcome`:{ok,error,expired}, `queue_us`:num, `score_us`:num |
 //! | `request_record` | `id`, `arrival_us`, `queue_us`, `batch`, `score_us`, `write_us`, `total_us`:num, `outcome`:{ok,error,expired,shed,rejected} |
-//! | `window_snapshot` | `window_s`, `submitted_per_s`, `completed_per_s`, `errors_per_s`, `shed_per_s`, `limited_per_s`, `p50_latency_us`, `p95_latency_us`:num |
 //! | `metrics` | `registry`:object with `counters`/`gauges`/`histograms` arrays    |
 //! | `stats`   | `stats`:object                                                    |
 //! | `run`     | `label`:str                                                       |
@@ -118,30 +116,11 @@ pub fn validate_event(event: &Json) -> Result<String, String> {
                 &["round", "start", "len", "forward_us", "backward_us", "merge_us", "step_us"],
             )?;
         }
-        "request" => {
-            require_string_in(event, "outcome", &["ok", "error", "expired"])?;
-            require_numbers(event, &["id", "queue_us", "score_us"])?;
-        }
         "request_record" => {
             require_string_in(event, "outcome", &["ok", "error", "expired", "shed", "rejected"])?;
             require_numbers(
                 event,
                 &["id", "arrival_us", "queue_us", "batch", "score_us", "write_us", "total_us"],
-            )?;
-        }
-        "window_snapshot" => {
-            require_numbers(
-                event,
-                &[
-                    "window_s",
-                    "submitted_per_s",
-                    "completed_per_s",
-                    "errors_per_s",
-                    "shed_per_s",
-                    "limited_per_s",
-                    "p50_latency_us",
-                    "p95_latency_us",
-                ],
             )?;
         }
         "metrics" => {
@@ -196,6 +175,15 @@ mod tests {
         format!("{{\"kind\":\"{kind}\",\"seq\":0,\"t_us\":12.5,\"thread\":\"main\"{comma}{extra}}}")
     }
 
+    /// The required fields of a `request_record`, with `id` and
+    /// `outcome` spliced in verbatim.
+    fn record(id: &str, outcome: &str) -> String {
+        format!(
+            "\"id\":{id},\"outcome\":\"{outcome}\",\"arrival_us\":0,\"queue_us\":0,\"batch\":0,\
+             \"score_us\":0,\"write_us\":0,\"total_us\":0"
+        )
+    }
+
     #[test]
     fn valid_events_of_every_kind_pass() {
         let lines = [
@@ -211,17 +199,10 @@ mod tests {
                 "\"stage\":\"group\",\"round\":1,\"start\":0,\"len\":32,\"forward_us\":1,\
                  \"backward_us\":2,\"merge_us\":3,\"step_us\":4",
             ),
-            base("request", "\"id\":7,\"outcome\":\"ok\",\"queue_us\":15,\"score_us\":120"),
             base(
                 "request_record",
                 "\"id\":7,\"outcome\":\"shed\",\"arrival_us\":10,\"queue_us\":0,\"batch\":0,\
                  \"score_us\":0,\"write_us\":0,\"total_us\":3,\"slow\":false",
-            ),
-            base(
-                "window_snapshot",
-                "\"window_s\":10,\"submitted_per_s\":120.5,\"completed_per_s\":118,\
-                 \"errors_per_s\":0,\"shed_per_s\":2.5,\"limited_per_s\":0,\
-                 \"p50_latency_us\":256,\"p95_latency_us\":2048",
             ),
             base("metrics", "\"registry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}"),
             base("stats", "\"stats\":{\"submitted\":1}"),
@@ -229,37 +210,20 @@ mod tests {
         ];
         let text = lines.join("\n");
         let summary = validate_trace(&text).expect("all kinds must validate");
-        assert_eq!(summary.events, 9);
+        assert_eq!(summary.events, 7);
         assert_eq!(summary.count("span"), 1);
         assert_eq!(summary.count("epoch"), 1);
         assert_eq!(summary.count("request_record"), 1);
-        assert_eq!(summary.count("window_snapshot"), 1);
         assert_eq!(summary.count("absent"), 0);
     }
 
     #[test]
-    fn request_record_outcome_extends_the_request_vocabulary() {
-        let fields = |outcome: &str| {
-            format!(
-                "\"id\":1,\"outcome\":\"{outcome}\",\"arrival_us\":0,\"queue_us\":0,\"batch\":0,\
-                 \"score_us\":0,\"write_us\":0,\"total_us\":0"
-            )
-        };
+    fn request_record_outcome_is_one_of_five_names() {
         for outcome in ["ok", "error", "expired", "shed", "rejected"] {
-            validate_trace(&base("request_record", &fields(outcome))).unwrap();
+            validate_trace(&base("request_record", &record("1", outcome))).unwrap();
         }
-        let err = validate_trace(&base("request_record", &fields("dropped"))).unwrap_err();
+        let err = validate_trace(&base("request_record", &record("1", "dropped"))).unwrap_err();
         assert!(err.contains("outcome"), "{err}");
-        // The plain `request` event does NOT accept the refusal names.
-        let plain = base("request", "\"id\":1,\"outcome\":\"shed\",\"queue_us\":0,\"score_us\":0");
-        assert!(validate_trace(&plain).is_err());
-    }
-
-    #[test]
-    fn window_snapshot_requires_every_rate_field() {
-        let missing = base("window_snapshot", "\"window_s\":10,\"submitted_per_s\":1");
-        let err = validate_trace(&missing).unwrap_err();
-        assert!(err.contains("completed_per_s"), "{err}");
     }
 
     #[test]
@@ -272,13 +236,18 @@ mod tests {
 
     #[test]
     fn wrong_type_unknown_kind_and_bad_enum_are_rejected() {
-        let wrong_type = base("request", "\"id\":\"seven\",\"outcome\":\"ok\",\"queue_us\":1,\"score_us\":1");
+        let wrong_type = base("request_record", &record("\"seven\"", "ok"));
         assert!(validate_trace(&wrong_type).is_err());
-        // Workers pop one job at a time; the old per-drain `batch`
-        // event is no longer a kind.
+        // Retired kinds: workers pop one job at a time, so there is no
+        // per-drain `batch`; `request_record` carries every field of the
+        // old `request` event, and the final `stats` event both windows
+        // of the old `window_snapshot`.
         assert!(validate_trace(&base("batch", "\"n\":4,\"form_us\":2")).is_err());
+        let request = "\"id\":1,\"outcome\":\"ok\",\"queue_us\":1,\"score_us\":1";
+        assert!(validate_trace(&base("request", request)).is_err());
+        assert!(validate_trace(&base("window_snapshot", "\"window_s\":10")).is_err());
         assert!(validate_trace(&base("teapot", "")).is_err());
-        let bad_outcome = base("request", "\"id\":1,\"outcome\":\"dropped\",\"queue_us\":1,\"score_us\":1");
+        let bad_outcome = base("request_record", &record("1", "dropped"));
         let err = validate_trace(&bad_outcome).unwrap_err();
         assert!(err.contains("outcome"), "{err}");
         assert!(validate_trace("not json").is_err());

@@ -187,8 +187,8 @@ macro_rules! span {
 }
 
 /// A scoped timer recording into a [`Histogram`] on drop — the
-/// per-call instrumentation the `nn` layers use. Obtain via
-/// [`maybe_timer`].
+/// per-call instrumentation the `nn` layers use on taped (training)
+/// calls. Obtain via [`maybe_timer`].
 pub struct ScopedTimer<'a> {
     hist: &'a Histogram,
     start: Instant,

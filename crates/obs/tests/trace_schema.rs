@@ -67,15 +67,6 @@ fn emitted_trace_validates_against_schema() {
             ("step_us", to_json(&4u64)),
         ],
     );
-    emit(
-        "request",
-        &[
-            ("id", to_json(&7u64)),
-            ("outcome", to_json(&"ok")),
-            ("queue_us", to_json(&15u64)),
-            ("score_us", to_json(&120u64)),
-        ],
-    );
     emit("metrics", &[("registry", to_json(&global().snapshot()))]);
     emit("run", &[("label", to_json(&"trace-schema-test"))]);
 
@@ -96,7 +87,6 @@ fn emitted_trace_validates_against_schema() {
     assert_eq!(summary.count("span"), 4, "fit + 2 epochs + worker span");
     assert_eq!(summary.count("epoch"), 1);
     assert_eq!(summary.count("window"), 1);
-    assert_eq!(summary.count("request"), 1);
     assert_eq!(summary.count("metrics"), 1);
     assert_eq!(summary.count("run"), 1);
 

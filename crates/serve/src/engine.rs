@@ -398,23 +398,6 @@ impl Engine {
         // actually drained (idempotent re-snapshots stay silent).
         if drained_any && groupsa_obs::enabled() {
             groupsa_obs::emit("stats", &[("stats", groupsa_obs::to_json(&stats))]);
-            if self.shared.metrics.telemetry().enabled() {
-                for window in [&stats.window_10s, &stats.window_60s] {
-                    groupsa_obs::emit(
-                        "window_snapshot",
-                        &[
-                            ("window_s", groupsa_obs::to_json(&window.window_s)),
-                            ("submitted_per_s", groupsa_obs::to_json(&window.submitted_per_s)),
-                            ("completed_per_s", groupsa_obs::to_json(&window.completed_per_s)),
-                            ("errors_per_s", groupsa_obs::to_json(&window.errors_per_s)),
-                            ("shed_per_s", groupsa_obs::to_json(&window.shed_per_s)),
-                            ("limited_per_s", groupsa_obs::to_json(&window.limited_per_s)),
-                            ("p50_latency_us", groupsa_obs::to_json(&window.p50_latency_us)),
-                            ("p95_latency_us", groupsa_obs::to_json(&window.p95_latency_us)),
-                        ],
-                    );
-                }
-            }
         }
         stats
     }
@@ -535,19 +518,6 @@ fn finish_job(shared: &Shared, popped: Instant, job: Job, response: Response, ex
             RecordOutcome::Completed
         }
     };
-    // The `GROUPSA_TRACE` gate: one atomic load, so untraced serving
-    // pays nothing for the lifecycle event.
-    if groupsa_obs::enabled() {
-        groupsa_obs::emit(
-            "request",
-            &[
-                ("id", groupsa_obs::to_json(&job.req.id)),
-                ("outcome", groupsa_obs::to_json(&outcome.name())),
-                ("queue_us", groupsa_obs::to_json(&(queue_wait.as_micros() as u64))),
-                ("score_us", groupsa_obs::to_json(&(score_elapsed.as_micros() as u64))),
-            ],
-        );
-    }
     let telemetry = shared.metrics.telemetry();
     let record = telemetry.enabled().then(|| RequestRecord {
         id: job.req.id,

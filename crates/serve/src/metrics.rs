@@ -213,11 +213,10 @@ impl Metrics {
 
     /// Renders the `MetricsDump` exposition page: every engine metric
     /// (counters, gauges, stage histograms), the 10 s / 60 s windowed
-    /// series, telemetry meta, the most recent slow-request records,
-    /// and a `registry_`-prefixed dump of the process-global registry
-    /// (the `nn.*` per-call timers). Every name in
-    /// [`EXPOSITION_METRICS`] is always declared, so validators can
-    /// assert coverage against a page from any engine state.
+    /// series, telemetry meta and the most recent slow-request records.
+    /// Every name in [`EXPOSITION_METRICS`] is always declared, so
+    /// validators can assert coverage against a page from any engine
+    /// state.
     pub fn exposition(&self, cache: CacheStats) -> String {
         let mut e = Exposition::new();
         for (name, value) in [
@@ -294,7 +293,6 @@ impl Metrics {
                 record.total_us as f64,
             );
         }
-        e.registry("registry_", &groupsa_obs::global().snapshot());
         e.render()
     }
 }

@@ -28,7 +28,9 @@
 //! A request line is at most [`MAX_LINE_BYTES`] long: a longer line is
 //! answered with a typed `bad request` naming the cap and the
 //! connection is closed, so a client that never sends a newline cannot
-//! grow server memory.
+//! grow server memory. A line that is not UTF-8 is answered with a
+//! typed `bad request`, like unparseable JSON, and the connection keeps
+//! reading.
 
 use crate::admission::TokenBucket;
 use crate::engine::{Engine, Outbound};
@@ -253,7 +255,13 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, stop: &AtomicBool,
             Ok(_) => {}
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            break; // not text: the stream is not NDJSON
+            // The line boundary is known, so refuse this line alone.
+            let refusal = ServeError::BadRequest { message: "request line is not UTF-8".into() }
+                .into_response(0);
+            if tx.send(Outbound::plain(refusal)).is_err() {
+                break;
+            }
+            continue;
         };
         if line.trim().is_empty() {
             continue;

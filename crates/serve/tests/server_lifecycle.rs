@@ -277,7 +277,8 @@ fn rate_limited_requests_get_typed_refusals() {
 
 /// A client that sends 1 MiB without a newline gets a typed
 /// `bad request` naming the line cap, and its connection closes; the
-/// server keeps serving other connections.
+/// server keeps serving other connections. A line that is not UTF-8
+/// gets a typed `bad request` too, and its connection stays usable.
 #[test]
 fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
     let (addr, _engine, server) = boot(frozen_world(55), ServerConfig::default());
@@ -306,6 +307,14 @@ fn an_over_long_request_line_is_refused_and_the_server_keeps_serving() {
     );
 
     let (mut stream, mut reader) = connect(addr);
+    stream.write_all(b"{\"Stats\":\xff}\n").expect("write a non-UTF-8 line");
+    match read_response(&mut reader) {
+        Response::Error { id: 0, error } => {
+            assert!(error.starts_with("bad request"), "{error}");
+            assert!(error.contains("not UTF-8"), "{error}");
+        }
+        other => panic!("expected a bad request refusal, got {other:?}"),
+    }
     send_line(&mut stream, &recommend(1, 3));
     assert!(matches!(read_response(&mut reader), Response::Recommend { id: 1, .. }));
 

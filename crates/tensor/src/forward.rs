@@ -37,8 +37,9 @@ pub trait Forward<'p> {
     /// A handle to an intermediate value.
     type Value;
 
-    /// Whether this evaluator records a tape for backward. Layers use it
-    /// to pick which timing histogram a call lands in.
+    /// Whether this evaluator records a tape for backward. Layers time
+    /// their calls only when it is set, so eager serving passes (γ once
+    /// per candidate item) never read the clock.
     const TAPE: bool;
 
     /// The current value of `x`.
