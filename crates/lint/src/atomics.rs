@@ -1,8 +1,7 @@
 //! The atomics-ordering audit.
 //!
 //! PRs 8–9 put ~60 hand-placed `Ordering::*` sites on the serve and
-//! observability paths (seqlock ring, clock-free windows, hot-swap,
-//! shed/stopping flags). One wrong `Relaxed` breaks the telemetry
+//! observability paths (seqlock ring, hot-swap, shed/stopping flags). One wrong `Relaxed` breaks the telemetry
 //! reconciliation or hot-swap guarantees *silently* — the code still
 //! compiles, still usually works on x86, and fails probabilistically
 //! on weaker memory models. So every atomic operation in the
@@ -18,8 +17,7 @@
 //!   ordering string, so a silent strengthening/weakening cannot land
 //!   without a diff reviewers see next to a justification.
 //! * `relaxed-publish` — on the declared cross-thread publish fields
-//!   ([`PUBLISH_FIELDS`]: the seqlock `seq` words, the window `stamp`
-//!   words, the swap slot), a *write* op whose success ordering is
+//!   ([`PUBLISH_FIELDS`]: the seqlock `seq` words and the swap slot), a *write* op whose success ordering is
 //!   `Relaxed` fires regardless of the manifest: no justification can
 //!   make an unordered publish correct. Loads are deliberately out of
 //!   scope — the seqlock's optimistic `Relaxed` pre-read (revalidated
@@ -72,11 +70,6 @@ pub const PUBLISH_FIELDS: &[(&str, &str, &str)] = &[
         "crates/obs/src/record.rs",
         "seq",
         "seqlock sequence words: the Release store is what publishes the slot's data to readers",
-    ),
-    (
-        "crates/obs/src/window.rs",
-        "stamp",
-        "window second-stamps: the AcqRel claim publishes the zeroed counters to concurrent writers",
     ),
     (
         "crates/serve/src/swap.rs",
@@ -156,26 +149,6 @@ pub const ATOMIC_SITES: &[AtomicEntry] = &[
     // -- obs/trace.rs
     ("crates/obs/src/trace.rs", "seq", "fetch_add", "Relaxed",
      "trace-event sequence number; only uniqueness matters, file writes are mutex-ordered"),
-    // -- obs/window.rs: sliding-window buckets. `stamp` is the publish
-    //    word that claims and publishes a rotated bucket.
-    ("crates/obs/src/window.rs", "stamp", "load", "Acquire",
-     "acquire pairs with the rotating CAS; seeing the new stamp orders the bucket reset before \
-      any subsequent bucket reads"),
-    ("crates/obs/src/window.rs", "stamp", "compare_exchange", "AcqRel,Acquire",
-     "acq-rel rotation: acquire sees the previous owner's reset, release publishes ours; \
-      exactly one thread wins the rotation"),
-    ("crates/obs/src/window.rs", "bucket", "store", "Relaxed",
-     "bucket reset inside the rotation winner's critical section; published by the stamp CAS"),
-    ("crates/obs/src/window.rs", "bucket", "load", "Relaxed",
-     "bucket read for window totals; per-bucket staleness only shifts a sample between buckets"),
-    ("crates/obs/src/window.rs", "count", "store", "Relaxed",
-     "bucket reset inside the rotation winner's critical section; published by the stamp CAS"),
-    ("crates/obs/src/window.rs", "count", "load", "Relaxed",
-     "statistic read; staleness is acceptable"),
-    ("crates/obs/src/window.rs", "counts", "fetch_add", "Relaxed",
-     "per-bucket event count; independent statistic, no cross-field invariant"),
-    ("crates/obs/src/window.rs", "latency", "fetch_add", "Relaxed",
-     "per-bucket latency sum; independent statistic, no cross-field invariant"),
     // -- serve/admission.rs
     ("crates/serve/src/admission.rs", "ewma_us", "load", "Relaxed",
      "EWMA is a lossy estimate by definition; a stale read only delays the shed decision one tick"),

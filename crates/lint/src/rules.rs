@@ -176,13 +176,13 @@ pub fn in_panic_scope(rel_path: &str) -> bool {
 pub const CLOCK_SCOPES: &[&str] = &[
     // Benchmarks and their timing harness exist to measure wall-clock time.
     "crates/bench/src/",
-    // Tracing, telemetry records, sliding windows: the clock's home.
+    // Tracing, telemetry records, the obs_top dashboard: the clock's home.
     "crates/obs/src/",
     // Token-bucket refill and predicted-wait shedding are time-based.
     "crates/serve/src/admission.rs",
     // Queue-wait / score-stage / deadline timing on the request path.
     "crates/serve/src/engine.rs",
-    // Stage histograms and window plumbing own per-stage durations.
+    // Stage histograms own per-stage durations.
     "crates/serve/src/metrics.rs",
     // The connection writer times serialize-and-write per response.
     "crates/serve/src/server.rs",

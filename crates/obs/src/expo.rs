@@ -8,13 +8,15 @@
 //! (no `# HELP`, no exemplars, no escaped quotes inside label values).
 //! The serve crate renders its `MetricsDump` page through
 //! [`Exposition`]; `serve_bench` and tier-1 validate the page through
-//! [`parse`]; `obs_top` renders its dashboard from the parsed samples.
+//! [`parse`]; `obs_top` renders its dashboard from the parsed samples,
+//! recovering raw histogram buckets through
+//! [`ParsedPage::histogram_buckets`] so it can diff two pages.
 //!
 //! Metric names are sanitised through [`sanitize`] (`.` and any other
 //! non-`[a-zA-Z0-9_]` byte become `_`), so a dotted name like
 //! `nn.attention.forward_us` exposes as `nn_attention_forward_us`.
 
-use crate::registry::{bucket_upper, HistogramSnapshot};
+use crate::registry::{bucket_upper, HistogramSnapshot, NUM_BUCKETS};
 
 /// Rewrites `name` into the exposition charset: `[a-zA-Z0-9_]`, with
 /// every other byte (registry dots, say) replaced by `_`.
@@ -100,8 +102,7 @@ impl Exposition {
     }
 
     /// Emits a labelled gauge sample; repeated names share one `# TYPE`
-    /// header (e.g. the same windowed rate at `window="10s"` and
-    /// `window="60s"`).
+    /// header (e.g. the same gauge at `stat="last"` and `stat="max"`).
     pub fn labeled_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         let name = sanitize(name);
         self.declare(&name, "gauge");
@@ -177,6 +178,32 @@ impl ParsedPage {
     /// Every sample for `name`, in page order.
     pub fn all(&self, name: &str) -> Vec<&ParsedSample> {
         self.samples.iter().filter(|s| s.name == name).collect()
+    }
+
+    /// The per-bucket counts of histogram `name`, [`NUM_BUCKETS`] long,
+    /// rebuilt from its cumulative `_bucket{le}` samples: the inverse
+    /// of [`Exposition::histogram`], so the buckets it elided come back
+    /// as zeros. `None` when the page has no such histogram, or a bound
+    /// is not one of the log₂ bucket bounds, or the counts decrease.
+    pub fn histogram_buckets(&self, name: &str) -> Option<Vec<u64>> {
+        let samples = self.all(&format!("{name}_bucket"));
+        if samples.is_empty() {
+            return None;
+        }
+        let mut buckets = vec![0u64; NUM_BUCKETS];
+        let mut below = 0u64;
+        for sample in samples {
+            let le = sample.labels.iter().find(|(k, _)| k == "le").map(|(_, v)| v.as_str())?;
+            if le == "+Inf" {
+                continue; // the total; every observation sits in a finite bucket
+            }
+            let upper: u64 = le.parse().ok()?;
+            let bucket = (0..NUM_BUCKETS).find(|&i| bucket_upper(i) == upper)?;
+            let cumulative = sample.value as u64;
+            buckets[bucket] = cumulative.checked_sub(below)?;
+            below = cumulative;
+        }
+        Some(buckets)
     }
 }
 
@@ -284,6 +311,26 @@ mod tests {
         // Cumulative counts never decrease in page order.
         let buckets = page.all("lat_bucket");
         assert!(buckets.windows(2).all(|w| w[0].value <= w[1].value));
+    }
+
+    #[test]
+    fn histogram_buckets_invert_the_elided_cumulative_series() {
+        let h = Histogram::new();
+        // Buckets 0, 1, 10 and 20 full, every bucket between them empty.
+        for (value, times) in [(0, 2), (1, 3), (1000, 5), (1_000_000, 7)] {
+            for _ in 0..times {
+                h.record(value);
+            }
+        }
+        let snapshot = h.snapshot();
+        let mut e = Exposition::new();
+        e.histogram("lat", &snapshot);
+        e.histogram("idle", &Histogram::new().snapshot());
+        let page = parse(&e.render()).unwrap();
+        assert_eq!(page.histogram_buckets("lat"), Some(snapshot.buckets));
+        assert_eq!(page.histogram_buckets("idle"), Some(vec![0; NUM_BUCKETS]));
+        assert_eq!(page.histogram_buckets("absent"), None);
+        assert_eq!(parse("x_bucket{le=\"3\"} 1\n").unwrap().histogram_buckets("x"), None);
     }
 
     #[test]

@@ -29,14 +29,13 @@
 //!
 //! * [`record`] — per-request [`RequestRecord`]s in a lock-free
 //!   overwrite-oldest [`RecordRing`];
-//! * [`window`] — per-second [`TimeWindows`] deriving 10 s / 60 s
-//!   rates and windowed percentiles;
-//! * [`telemetry`] — the [`Telemetry`] facade gating both behind
-//!   deterministic `GROUPSA_OBS_SAMPLE=1/N` id-hash sampling (plus
-//!   unconditional slow-request capture);
+//! * [`telemetry`] — the [`Telemetry`] facade gating the ring behind
+//!   deterministic `1/N` id-hash sampling (plus unconditional
+//!   slow-request capture);
 //! * [`expo`] — a Prometheus-style text exposition renderer/parser
 //!   (the `MetricsDump` page format), polled by the `obs_top`
-//!   dashboard binary.
+//!   dashboard binary, which derives windowed rates and percentiles by
+//!   diffing two pages' lifetime counters and histogram buckets.
 //!
 //! ## Capturing a trace
 //!
@@ -57,13 +56,11 @@ pub mod registry;
 pub mod schema;
 pub mod telemetry;
 pub mod trace;
-pub mod window;
 
 pub use record::{RecordOutcome, RecordRing, RequestRecord};
 pub use registry::{
     bucket_of, bucket_upper, global, percentile, Counter, Gauge, Histogram, HistogramSnapshot,
     Registry, RegistrySnapshot, NUM_BUCKETS,
 };
-pub use telemetry::{hash_id, Telemetry, TelemetryConfig, SAMPLE_ENV, SLOW_US_ENV};
+pub use telemetry::{hash_id, Telemetry, TelemetryConfig};
 pub use trace::{emit, enabled, maybe_timer, to_json, ScopedTimer, Span, TRACE_ENV};
-pub use window::{TimeWindows, WindowKind, WindowStats};

@@ -1,18 +1,21 @@
-//! Request-lifecycle telemetry: deterministic sampling, the record
-//! ring, and the sliding windows behind one enable gate.
+//! Request-lifecycle telemetry: deterministic sampling and the record
+//! ring behind one enable gate.
 //!
 //! A [`Telemetry`] instance is embedded per owner (each serve engine's
-//! `Metrics` carries one), configured by a [`TelemetryConfig`] read
-//! either from the environment or injected directly by tests and
-//! benches:
+//! `Metrics` carries one), configured by a [`TelemetryConfig`] passed
+//! in by its owner (`groupsa-serve --obs-sample 1/N`, or injected
+//! directly by tests and benches):
 //!
-//! * `GROUPSA_OBS_SAMPLE=1/N` — record every request whose id-hash is
-//!   `0 mod N` (`1/1` records everything). Unset, empty, or malformed
-//!   means telemetry is **off**.
-//! * `GROUPSA_OBS_SLOW_US=µs` — requests slower than this are captured
-//!   even when sampled out (default [`DEFAULT_SLOW_US`]).
-//! * `GROUPSA_OBS_RING=n` — record-ring capacity (default
+//! * `sample_every = N` — record every request whose id-hash is
+//!   `0 mod N` (`1/1` records everything); `0` means telemetry is
+//!   **off**.
+//! * `slow_us` — requests slower than this are captured even when
+//!   sampled out (default [`DEFAULT_SLOW_US`]).
+//! * `ring_capacity` — record-ring capacity (default
 //!   [`DEFAULT_RING_CAPACITY`]).
+//!
+//! Windowed rates are not kept here: a reader diffs two reads of the
+//! engine's lifetime counters and histograms (what `obs_top` does).
 //!
 //! ## Determinism and the zero-overhead contract
 //!
@@ -26,17 +29,7 @@
 //! compiled in but off.
 
 use crate::record::{RecordRing, RequestRecord};
-use crate::window::{TimeWindows, WindowKind, WindowStats};
 use std::time::Instant;
-
-/// Environment variable holding the sampling spec (`1/N`).
-pub const SAMPLE_ENV: &str = "GROUPSA_OBS_SAMPLE";
-
-/// Environment variable overriding the slow-request threshold (µs).
-pub const SLOW_US_ENV: &str = "GROUPSA_OBS_SLOW_US";
-
-/// Environment variable overriding the record-ring capacity.
-pub const RING_ENV: &str = "GROUPSA_OBS_RING";
 
 /// Default slow-request threshold: 50 ms end-to-end.
 pub const DEFAULT_SLOW_US: u64 = 50_000;
@@ -54,8 +47,7 @@ pub fn hash_id(id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Telemetry tuning, injectable per engine (tests/benches) or read
-/// from the environment (production binaries).
+/// Telemetry tuning, injected per engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Record one request in `sample_every` by id-hash; `0` disables
@@ -87,7 +79,7 @@ impl TelemetryConfig {
         }
     }
 
-    /// Parses a `GROUPSA_OBS_SAMPLE` spec: `1/N` (or bare `N`, meaning
+    /// Parses a `--obs-sample` spec: `1/N` (or bare `N`, meaning
     /// the same) → `N`; anything else → `0` (off). No panics — a
     /// malformed spec silently disables telemetry rather than taking
     /// the server down.
@@ -100,34 +92,16 @@ impl TelemetryConfig {
         };
         denom.parse::<u64>().unwrap_or(0)
     }
-
-    /// Reads the three `GROUPSA_OBS_*` variables; unset/malformed
-    /// `GROUPSA_OBS_SAMPLE` means disabled.
-    pub fn from_env() -> Self {
-        let sample_every =
-            std::env::var(SAMPLE_ENV).ok().map_or(0, |spec| Self::parse_sample(&spec));
-        let slow_us = std::env::var(SLOW_US_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_SLOW_US);
-        let ring_capacity = std::env::var(RING_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_RING_CAPACITY);
-        TelemetryConfig { sample_every, slow_us, ring_capacity }
-    }
 }
 
 /// Per-owner telemetry state: the enable gate, the sampling decision,
-/// the record ring, and the sliding windows. See the module docs.
+/// and the record ring. See the module docs.
 #[derive(Debug)]
 pub struct Telemetry {
     cfg: TelemetryConfig,
-    /// Epoch for `arrival_us` and the window second index. Read only
-    /// inside the enabled gate.
+    /// Epoch for `arrival_us`. Read only inside the enabled gate.
     start: Instant,
     ring: RecordRing,
-    windows: TimeWindows,
 }
 
 impl Default for Telemetry {
@@ -143,13 +117,7 @@ impl Telemetry {
             cfg,
             start: Instant::now(),
             ring: RecordRing::new(cfg.ring_capacity),
-            windows: TimeWindows::new(),
         }
-    }
-
-    /// Telemetry configured from the `GROUPSA_OBS_*` environment.
-    pub fn from_env() -> Self {
-        Self::new(TelemetryConfig::from_env())
     }
 
     /// Telemetry that is off (every entry point returns immediately).
@@ -186,22 +154,6 @@ impl Telemetry {
     /// only a caller-constructed Instant can).
     pub fn us_since_start(&self, t: Instant) -> u64 {
         t.saturating_duration_since(self.start).as_micros() as u64
-    }
-
-    /// Tallies one window event in the current second. No-op (and no
-    /// clock read) when disabled.
-    pub fn note(&self, kind: WindowKind) {
-        if self.enabled() {
-            self.windows.note(kind, self.start.elapsed().as_secs());
-        }
-    }
-
-    /// Tallies one completed-request latency sample in the current
-    /// second. No-op when disabled.
-    pub fn note_latency_us(&self, us: u64) {
-        if self.enabled() {
-            self.windows.note_latency_us(us, self.start.elapsed().as_secs());
-        }
     }
 
     /// Files a finished record: marks it slow when `total_us` crosses
@@ -245,15 +197,6 @@ impl Telemetry {
     /// Only the records captured as slow, oldest first.
     pub fn slow_records(&self) -> Vec<RequestRecord> {
         self.ring.snapshot().into_iter().filter(|r| r.slow).collect()
-    }
-
-    /// Windowed rates/percentiles over the last `window_s` seconds.
-    /// All-zero when disabled (no clock read).
-    pub fn window_stats(&self, window_s: u64) -> WindowStats {
-        if !self.enabled() {
-            return WindowStats { window_s, ..WindowStats::default() };
-        }
-        self.windows.stats(window_s, self.start.elapsed().as_secs())
     }
 
     /// Total ring pushes attempted (sampled + slow captures).
@@ -301,11 +244,8 @@ mod tests {
         let t = Telemetry::disabled();
         assert!(!t.enabled());
         assert!(!t.sampled(0), "even hash 0 is not sampled when off");
-        t.note(WindowKind::Submitted);
-        t.note_latency_us(10);
         t.observe(RequestRecord { id: 1, total_us: u64::MAX, ..Default::default() }, true);
         assert!(t.records().is_empty());
-        assert_eq!(t.window_stats(10), WindowStats { window_s: 10, ..Default::default() });
     }
 
     #[test]

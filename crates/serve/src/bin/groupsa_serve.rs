@@ -28,10 +28,11 @@
 //! deadline-aware load shedding (on by default).
 //!
 //! `--obs-sample 1/N` turns on request-lifecycle telemetry (stage
-//! records for every Nth request plus slow-request capture, sliding
-//! windows, `MetricsDump` detail), overriding the `GROUPSA_OBS_SAMPLE`
-//! environment. Without either, telemetry is off and the serve path
-//! pays one boolean load per request.
+//! records for every Nth request plus slow-request capture, and the
+//! slow-request samples on the `MetricsDump` page). It is the one
+//! telemetry switch: without it, telemetry is off and the serve path
+//! pays one boolean load per request. The page's lifetime counters
+//! and histograms are live either way.
 
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
 use groupsa_data::synthetic::{self, SyntheticConfig};
@@ -118,8 +119,7 @@ fn run() -> Result<(), String> {
         queue_capacity: num(&flags, "queue", 256)?,
         default_deadline_ms: num(&flags, "deadline-ms", 0)?,
         shed: num(&flags, "shed", true)?,
-        // The flag beats the environment; `None` falls back to
-        // `GROUPSA_OBS_SAMPLE` / `GROUPSA_OBS_SLOW_US`.
+        // No flag means `None`: telemetry off.
         telemetry: flags
             .get("obs-sample")
             .map(|spec| TelemetryConfig::sampling(TelemetryConfig::parse_sample(spec))),

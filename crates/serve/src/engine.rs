@@ -55,10 +55,9 @@ pub struct EngineConfig {
     /// `Shed` at enqueue time instead of expiring late in the queue.
     /// Requests without a deadline are never shed.
     pub shed: bool,
-    /// Request-lifecycle telemetry config. `None` reads the
-    /// `GROUPSA_OBS_*` environment (the production default); tests and
-    /// benches inject `Some(..)` so engines in one process never race
-    /// on env vars.
+    /// Request-lifecycle telemetry config; `None` means off (the
+    /// default). `groupsa-serve --obs-sample 1/N`, tests and benches
+    /// pass `Some(..)`.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -149,10 +148,7 @@ pub struct Engine {
 impl Engine {
     /// Spawns `cfg.workers` threads over the frozen snapshot.
     pub fn start(frozen: Arc<FrozenModel>, cfg: EngineConfig) -> Arc<Self> {
-        let telemetry = match cfg.telemetry {
-            Some(telemetry_cfg) => Telemetry::new(telemetry_cfg),
-            None => Telemetry::from_env(),
-        };
+        let telemetry = Telemetry::new(cfg.telemetry.unwrap_or(TelemetryConfig::disabled()));
         let shared = Arc::new(Shared {
             model: ModelSlot::new(frozen),
             cfg,
@@ -299,9 +295,9 @@ impl Engine {
         self.shared.metrics.snapshot(self.shared.model.load().cache_stats())
     }
 
-    /// The engine's telemetry facade: sampling config, record ring,
-    /// and sliding windows. Disabled telemetry returns a facade whose
-    /// `enabled()` is `false` and whose observers are no-ops.
+    /// The engine's telemetry facade: sampling config and record ring.
+    /// Disabled telemetry returns a facade whose `enabled()` is `false`
+    /// and whose observers are no-ops.
     pub fn telemetry(&self) -> &Telemetry {
         self.shared.metrics.telemetry()
     }
@@ -390,6 +386,7 @@ impl Engine {
         // even from poison — this is exactly the poisoned-pool case.
         let leftovers: Vec<Job> = {
             let mut queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared.metrics.note_queue_depth(0);
             queue.drain(..).collect()
         };
         answer_worker_lost(&self.shared, leftovers);
@@ -456,6 +453,7 @@ fn answer_worker_lost(shared: &Shared, jobs: Vec<Job>) {
 /// and their submitters would otherwise block in `recv` forever.
 fn retire_draining(shared: &Shared, mut queue: MutexGuard<'_, VecDeque<Job>>) {
     let jobs: Vec<Job> = queue.drain(..).collect();
+    shared.metrics.note_queue_depth(0);
     drop(queue);
     answer_worker_lost(shared, jobs);
 }
@@ -469,6 +467,7 @@ fn worker_loop(shared: &Shared) {
             };
             loop {
                 if let Some(job) = queue.pop_front() {
+                    shared.metrics.note_queue_depth(queue.len());
                     break job;
                 }
                 if shared.stopping.load(Ordering::SeqCst) {

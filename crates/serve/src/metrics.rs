@@ -16,7 +16,7 @@
 
 use groupsa_json::impl_json_struct;
 use groupsa_obs::expo::Exposition;
-use groupsa_obs::{Counter, Gauge, Histogram, Telemetry, WindowKind, WindowStats};
+use groupsa_obs::{Counter, Gauge, Histogram, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -44,23 +44,19 @@ pub struct Metrics {
     /// Monotone per-pop ids, handed out by [`Metrics::note_pop`] so a
     /// sampled record names the pop that took its job.
     batch_seq: AtomicU64,
-    /// Request-lifecycle telemetry: the sampling gate, record ring, and
-    /// sliding windows. `Telemetry::disabled()` under `Default`, so
-    /// plain `Metrics::default()` carries zero telemetry overhead.
+    /// Request-lifecycle telemetry: the sampling gate and record ring.
+    /// `Telemetry::disabled()` under `Default`, so plain
+    /// `Metrics::default()` carries zero telemetry overhead.
     telemetry: Telemetry,
 }
 
 impl Metrics {
-    /// Fresh metrics with telemetry configured from the
-    /// `GROUPSA_OBS_*` environment (off when `GROUPSA_OBS_SAMPLE` is
-    /// unset).
+    /// Fresh metrics with telemetry off.
     pub fn new() -> Self {
-        Self::with_telemetry(Telemetry::from_env())
+        Self::default()
     }
 
-    /// Fresh metrics with an explicitly-configured [`Telemetry`]
-    /// (tests and benches inject configs instead of racing on env
-    /// vars).
+    /// Fresh metrics with an explicitly-configured [`Telemetry`].
     pub fn with_telemetry(telemetry: Telemetry) -> Self {
         Metrics { telemetry, ..Metrics::default() }
     }
@@ -73,14 +69,12 @@ impl Metrics {
     /// Counts one admitted request.
     pub fn note_submitted(&self) {
         self.submitted.inc();
-        self.telemetry.note(WindowKind::Submitted);
     }
 
     /// Counts one request rejected at admission (queue full / engine
     /// stopping).
     pub fn note_rejected(&self) {
         self.rejected.inc();
-        self.telemetry.note(WindowKind::Rejected);
     }
 
     /// Counts one request dropped because its deadline passed while it
@@ -90,13 +84,11 @@ impl Metrics {
     /// expired` once the queue is drained.
     pub fn note_expired(&self) {
         self.expired.inc();
-        self.telemetry.note(WindowKind::Expired);
     }
 
     /// Counts one request answered with a (non-deadline) error.
     pub fn note_error(&self) {
         self.errors.inc();
-        self.telemetry.note(WindowKind::Errors);
     }
 
     /// Counts one request shed by deadline-aware admission control.
@@ -105,14 +97,12 @@ impl Metrics {
     /// `submitted == completed + errors + expired + shed`.
     pub fn note_shed(&self) {
         self.shed.inc();
-        self.telemetry.note(WindowKind::Shed);
     }
 
     /// Counts one request refused by a per-client rate limit (answered
     /// at the connection layer, never submitted to the engine).
     pub fn note_limited(&self) {
         self.limited.inc();
-        self.telemetry.note(WindowKind::Limited);
     }
 
     /// Counts one successful hot-swap publish of a new frozen model.
@@ -133,8 +123,6 @@ impl Metrics {
     pub fn note_completed(&self, latency: Duration) {
         self.completed.inc();
         self.latency.record_duration(latency);
-        self.telemetry.note(WindowKind::Completed);
-        self.telemetry.note_latency_us(latency.as_micros() as u64);
     }
 
     /// Records one job popped by a worker, returning its monotone pop
@@ -150,9 +138,9 @@ impl Metrics {
         self.write.record_duration(elapsed);
     }
 
-    /// Records the queue depth observed right after an enqueue — both
-    /// the last-sampled value and the high-watermark, so saturation
-    /// stays visible in snapshots even after the queue drains.
+    /// Records the queue depth observed right after an enqueue, a pop
+    /// or a drain — both the last-sampled value and the high-watermark,
+    /// so saturation stays visible in snapshots after the queue drains.
     pub fn note_queue_depth(&self, depth: usize) {
         self.queue_depth.set(depth as u64);
     }
@@ -201,8 +189,6 @@ impl Metrics {
             p95_score_us: score.p95,
             mean_write_us: write.mean,
             p95_write_us: write.p95,
-            window_10s: self.telemetry.window_stats(10),
-            window_60s: self.telemetry.window_stats(60),
             latent_cache_hits: cache.latent_hits,
             group_rep_cache_hits: cache.group_rep_hits,
             num_users: cache.num_users,
@@ -212,8 +198,9 @@ impl Metrics {
     }
 
     /// Renders the `MetricsDump` exposition page: every engine metric
-    /// (counters, gauges, stage histograms), the 10 s / 60 s windowed
-    /// series, telemetry meta and the most recent slow-request records.
+    /// (counters, gauges, stage histograms), telemetry meta and the most
+    /// recent slow-request records. Windowed rates are the reader's to
+    /// derive by diffing two pages' counters and histogram buckets.
     /// Every name in [`EXPOSITION_METRICS`] is always declared, so
     /// validators can assert coverage against a page from any engine
     /// state.
@@ -245,21 +232,6 @@ impl Metrics {
             ("groupsa_serve_write_us", &self.write),
         ] {
             e.histogram(name, &histogram.snapshot());
-        }
-        for window in [self.telemetry.window_stats(10), self.telemetry.window_stats(60)] {
-            let label = format!("{}s", window.window_s);
-            let w = label.as_str();
-            for (name, value) in [
-                ("groupsa_serve_window_submitted_per_s", window.submitted_per_s),
-                ("groupsa_serve_window_completed_per_s", window.completed_per_s),
-                ("groupsa_serve_window_errors_per_s", window.errors_per_s),
-                ("groupsa_serve_window_shed_per_s", window.shed_per_s),
-                ("groupsa_serve_window_limited_per_s", window.limited_per_s),
-                ("groupsa_serve_window_p50_latency_us", window.p50_latency_us as f64),
-                ("groupsa_serve_window_p95_latency_us", window.p95_latency_us as f64),
-            ] {
-                e.labeled_gauge(name, &[("window", w)], value);
-            }
         }
         e.gauge("groupsa_obs_sample_every", self.telemetry.config().sample_every as f64);
         e.counter("groupsa_obs_ring_pushed_total", self.telemetry.ring_pushed());
@@ -315,13 +287,6 @@ pub const EXPOSITION_METRICS: &[&str] = &[
     "groupsa_serve_queue_wait_us",
     "groupsa_serve_score_us",
     "groupsa_serve_write_us",
-    "groupsa_serve_window_submitted_per_s",
-    "groupsa_serve_window_completed_per_s",
-    "groupsa_serve_window_errors_per_s",
-    "groupsa_serve_window_shed_per_s",
-    "groupsa_serve_window_limited_per_s",
-    "groupsa_serve_window_p50_latency_us",
-    "groupsa_serve_window_p95_latency_us",
     "groupsa_obs_sample_every",
     "groupsa_obs_ring_pushed_total",
     "groupsa_obs_ring_dropped_total",
@@ -385,7 +350,7 @@ pub struct StatsSnapshot {
     /// benchmark reads it; delete it once the benchmark stops
     /// (ROADMAP item 1).
     pub mean_batch: f64,
-    /// Deepest queue observed at enqueue time (high-watermark).
+    /// Deepest queue observed (high-watermark).
     pub max_queue_depth: u64,
     /// Most recently sampled queue depth (pairs with the watermark:
     /// a drained queue shows `last = 0` while `max` keeps the peak).
@@ -415,11 +380,6 @@ pub struct StatsSnapshot {
     pub mean_write_us: f64,
     /// 95th-percentile write time (µs, bucket upper bound).
     pub p95_write_us: u64,
-    /// Windowed rates/percentiles over the last 10 s (all zero unless
-    /// telemetry is enabled via `GROUPSA_OBS_SAMPLE`).
-    pub window_10s: WindowStats,
-    /// Windowed rates/percentiles over the last 60 s.
-    pub window_60s: WindowStats,
     /// User-latent cache hits.
     pub latent_cache_hits: u64,
     /// Group-representation cache hits.
@@ -457,8 +417,6 @@ impl_json_struct!(StatsSnapshot {
     p95_score_us,
     mean_write_us,
     p95_write_us,
-    window_10s,
-    window_60s,
     latent_cache_hits,
     group_rep_cache_hits,
     num_users,
@@ -601,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn exposition_reflects_counters_windows_and_slow_records() {
+    fn exposition_reflects_counters_and_slow_records() {
         use groupsa_obs::TelemetryConfig;
         let m = Metrics::with_telemetry(Telemetry::new(TelemetryConfig {
             sample_every: 1,
@@ -621,40 +579,11 @@ mod tests {
         assert_eq!(parsed.value("groupsa_serve_cache_latent_hits_total"), Some(5.0));
         assert_eq!(parsed.value("groupsa_serve_write_us_count"), Some(1.0));
         assert_eq!(parsed.value("groupsa_obs_sample_every"), Some(1.0));
-        assert!(
-            parsed
-                .value_with("groupsa_serve_window_submitted_per_s", ("window", "10s"))
-                .unwrap()
-                > 0.0,
-            "the windowed rate must see the submission"
-        );
         let slow = parsed.all("groupsa_serve_slow_request_us");
         assert!(
             slow.iter().any(|s| s.labels.iter().any(|(k, v)| k == "id" && v == "77")),
             "the slow record must surface as a labelled sample: {page}"
         );
-    }
-
-    #[test]
-    fn windows_stay_zero_without_telemetry_and_fill_with_it() {
-        let off = Metrics::with_telemetry(Telemetry::disabled());
-        off.note_submitted();
-        off.note_completed(Duration::from_micros(10));
-        let s = off.snapshot(CacheStats::default());
-        assert_eq!(s.window_10s, WindowStats { window_s: 10, ..WindowStats::default() });
-
-        let on = Metrics::with_telemetry(Telemetry::new(
-            groupsa_obs::TelemetryConfig::sampling(1),
-        ));
-        for _ in 0..20 {
-            on.note_submitted();
-            on.note_completed(Duration::from_micros(100));
-        }
-        let s = on.snapshot(CacheStats::default());
-        assert!(s.window_10s.submitted_per_s >= 2.0, "{:?}", s.window_10s);
-        assert!(s.window_10s.completed_per_s >= 2.0);
-        assert_eq!(s.window_10s.p95_latency_us, 128, "100 µs lands in (64,128]");
-        assert!(s.window_60s.submitted_per_s > 0.0);
     }
 
     #[test]

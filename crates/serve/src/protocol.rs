@@ -111,8 +111,9 @@ pub enum Request {
         id: u64,
     },
     /// Dump the full metrics registry as a Prometheus-style text page
-    /// (counters, stat-labeled gauges, cumulative histograms, windowed
-    /// rates, and recent slow requests) — what `obs_top` polls.
+    /// (counters, stat-labeled gauges, cumulative histograms, and recent
+    /// slow requests) — what `obs_top` polls and diffs into windowed
+    /// rates.
     MetricsDump {
         /// Correlation id.
         id: u64,

@@ -207,6 +207,34 @@ fn overload_sheds_at_admission_and_conserves_submissions() {
     assert_eq!(stats.submitted, 1 + backlog + stats.shed);
 }
 
+/// The queue-depth gauge reads the queue as it is now: a backlog that
+/// has been fully answered shows `last = 0` while `max` keeps the
+/// peak. (It used to be sampled only after each enqueue, so it could
+/// never fall below 1 once any request had arrived.)
+#[test]
+fn a_drained_queue_reads_depth_zero_and_keeps_its_peak() {
+    let frozen = frozen_world(13);
+    let engine = Engine::start(
+        Arc::clone(&frozen),
+        EngineConfig { workers: 2, shed: false, ..EngineConfig::default() },
+    );
+    let (tx, rx) = std::sync::mpsc::channel();
+    let n = 12u64;
+    for i in 0..n {
+        engine.submit_streamed(request(i, (i as usize) % NUM_GROUPS, 0), tx.clone());
+    }
+    drop(tx);
+    let answered = rx.iter().filter(|out| matches!(out.response, Response::Recommend { .. }));
+    assert_eq!(answered.count() as u64, n);
+
+    let stats = engine.stats();
+    assert_eq!(stats.completed, n);
+    assert_eq!(stats.last_queue_depth, 0, "every request was answered: {stats:?}");
+    assert!(stats.max_queue_depth >= 1, "{stats:?}");
+    let stats = engine.shutdown();
+    assert_eq!(stats.last_queue_depth, 0, "{stats:?}");
+}
+
 /// With `1/1` sampling, every request — completed, errored, shed at
 /// admission, or rejected outright — files exactly one lifecycle
 /// record, and the ring's per-outcome tallies reconcile with the
