@@ -116,17 +116,19 @@ mod tests {
         // Garbage: warns but proceeds (it will be rewritten).
         std::fs::write(&path, "not json").unwrap();
         assert!(check_schema_file(&path, 1).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn save_json_roundtrips() {
-        let dir = std::env::temp_dir().join("groupsa-bench-test");
+        let dir = std::env::temp_dir().join(format!("groupsa-bench-save-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let old = std::env::current_dir().unwrap();
         std::env::set_current_dir(&dir).unwrap();
         let path = save_json("unit", &vec![1, 2, 3]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::env::set_current_dir(old).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(text.contains('1') && text.contains('3'));
     }
 }

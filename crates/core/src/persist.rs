@@ -110,12 +110,12 @@ mod tests {
         let mut model = GroupSa::new(cfg.clone(), d.num_users, d.num_items);
         Trainer::new(cfg).fit(&mut model, &ctx);
 
-        let dir = std::env::temp_dir().join("groupsa-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
+        let path = std::env::temp_dir().join(format!("groupsa-persist-{}.json", std::process::id()));
         model.save(&path, d.num_users, d.num_items).unwrap();
 
-        let loaded = GroupSa::load(&path).unwrap();
+        let loaded = GroupSa::load(&path);
+        let _ = std::fs::remove_file(&path);
+        let loaded = loaded.unwrap();
         let items = [0usize, 1, 2, 3];
         assert_eq!(model.score_user_items(&ctx, 0, &items), loaded.score_user_items(&ctx, 0, &items));
         assert_eq!(model.score_group_items(&ctx, 0, &items), loaded.score_group_items(&ctx, 0, &items));

@@ -169,11 +169,10 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let d = tiny();
-        let dir = std::env::temp_dir().join("groupsa-data-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.json");
+        let path = std::env::temp_dir().join(format!("groupsa-data-{}.json", std::process::id()));
         d.save_json(&path).unwrap();
-        let back = Dataset::load_json(&path).unwrap();
-        assert_eq!(d, back);
+        let back = Dataset::load_json(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(d, back.unwrap());
     }
 }

@@ -1,10 +1,10 @@
 //! The atomics-ordering audit.
 //!
-//! PRs 8–9 put ~60 hand-placed `Ordering::*` sites on the serve and
-//! observability paths (seqlock ring, hot-swap, shed/stopping flags). One wrong `Relaxed` breaks the telemetry
-//! reconciliation or hot-swap guarantees *silently* — the code still
-//! compiles, still usually works on x86, and fails probabilistically
-//! on weaker memory models. So every atomic operation in the
+//! The serve and observability paths carry hand-placed `Ordering::*`
+//! sites (metric cells, shutdown flags, the shed estimate). One wrong
+//! `Relaxed` breaks a reconciliation or shutdown guarantee *silently*
+//! — the code still compiles, still usually works on x86, and fails
+//! probabilistically on weaker memory models. So every atomic operation in the
 //! workspace must be **manifested**: listed in [`ATOMIC_SITES`] as
 //! `(file, symbol, op, ordering, justification)`, where `symbol` is
 //! the atomic field the op applies to. Two rules enforce it:
@@ -17,11 +17,10 @@
 //!   ordering string, so a silent strengthening/weakening cannot land
 //!   without a diff reviewers see next to a justification.
 //! * `relaxed-publish` — on the declared cross-thread publish fields
-//!   ([`PUBLISH_FIELDS`]: the seqlock `seq` words and the swap slot), a *write* op whose success ordering is
-//!   `Relaxed` fires regardless of the manifest: no justification can
-//!   make an unordered publish correct. Loads are deliberately out of
-//!   scope — the seqlock's optimistic `Relaxed` pre-read (revalidated
-//!   by the acquire CAS) is legitimate and manifested as such.
+//!   ([`PUBLISH_FIELDS`]: the swap slot), a *write* op whose success
+//!   ordering is `Relaxed` fires regardless of the manifest: no
+//!   justification can make an unordered publish correct. Loads are
+//!   out of scope: a load publishes nothing.
 //!
 //! Detection keys on an `Ordering::X` argument inside the call's
 //! parens, which cleanly separates `AtomicU64::load` from `Vec`
@@ -67,11 +66,6 @@ pub const ATOMIC_OPS: &[&str] = &[
 /// never justifiable: `(file, field, why it is a publish point)`.
 pub const PUBLISH_FIELDS: &[(&str, &str, &str)] = &[
     (
-        "crates/obs/src/record.rs",
-        "seq",
-        "seqlock sequence words: the Release store is what publishes the slot's data to readers",
-    ),
-    (
         "crates/serve/src/swap.rs",
         "current",
         "hot-swap slot: if the Mutex is ever replaced by an atomic pointer, its store is the model publish",
@@ -94,32 +88,6 @@ pub const ATOMIC_SITES: &[AtomicEntry] = &[
      "monotonic cost counter; aggregated after thread join, which orders all prior writes"),
     ("crates/core/src/train.rs", "forward_us", "load", "Relaxed",
      "summary read after join; no concurrent writers remain"),
-    // -- obs/record.rs: per-slot seqlock. `seq` is the publish word:
-    //    odd = write in progress, even = stable generation.
-    ("crates/obs/src/record.rs", "seq", "load", "Relaxed",
-     "writer's optimistic pre-read; any staleness is caught by the acquire CAS that follows"),
-    ("crates/obs/src/record.rs", "seq", "load", "Acquire",
-     "reader's before/after generation checks; acquire pairs with the writer's release store \
-      so matching even values prove the data words in between were stable"),
-    ("crates/obs/src/record.rs", "seq", "compare_exchange", "Acquire,Relaxed",
-     "acquire claims the slot (seq -> odd) and orders the claim before the data writes; \
-      failure retries, so relaxed is enough there"),
-    ("crates/obs/src/record.rs", "seq", "store", "Release",
-     "publishes the generation (seq -> even); release makes the relaxed data stores visible \
-      to any reader that acquires this value"),
-    ("crates/obs/src/record.rs", "cell", "store", "Relaxed",
-     "data words inside the seqlock critical section; ordered by the surrounding seq \
-      acquire-CAS / release-store pair"),
-    ("crates/obs/src/record.rs", "data", "load", "Relaxed",
-     "data words re-validated by the acquire re-read of seq; a torn read is detected and retried"),
-    ("crates/obs/src/record.rs", "head", "fetch_add", "Relaxed",
-     "ring cursor: only uniqueness of the claimed index matters, not ordering against data"),
-    ("crates/obs/src/record.rs", "head", "load", "Relaxed",
-     "approximate occupancy for introspection; staleness is acceptable"),
-    ("crates/obs/src/record.rs", "dropped", "fetch_add", "Relaxed",
-     "lossy-drop statistic; no reader infers other state from it"),
-    ("crates/obs/src/record.rs", "dropped", "load", "Relaxed",
-     "statistic read; staleness is acceptable"),
     // -- obs/registry.rs: lock-free metric cells (Counter is a newtype,
     //    hence the `.0` receiver).
     ("crates/obs/src/registry.rs", "0", "fetch_add", "Relaxed",
@@ -165,15 +133,7 @@ pub const ATOMIC_SITES: &[AtomicEntry] = &[
      "accept-loop stop flag; cold path, total order chosen over proving a weaker one"),
     ("crates/serve/src/server.rs", "stop", "load", "SeqCst",
      "accept-loop stop check once per connection; cold path, total order keeps it obvious"),
-    // -- serve/frozen.rs + metrics.rs: serving statistics.
-    ("crates/serve/src/frozen.rs", "latent_hits", "fetch_add", "Relaxed",
-     "cache statistic; no reader infers other state from it"),
-    ("crates/serve/src/frozen.rs", "latent_hits", "load", "Relaxed",
-     "statistic read; staleness is acceptable"),
-    ("crates/serve/src/frozen.rs", "rep_hits", "fetch_add", "Relaxed",
-     "cache statistic; no reader infers other state from it"),
-    ("crates/serve/src/frozen.rs", "rep_hits", "load", "Relaxed",
-     "statistic read; staleness is acceptable"),
+    // -- serve/metrics.rs: serving statistics.
     ("crates/serve/src/metrics.rs", "batch_seq", "fetch_add", "Relaxed",
      "per-pop id for telemetry records; only uniqueness matters"),
 ];

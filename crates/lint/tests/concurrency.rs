@@ -142,8 +142,8 @@ fn dead_allow_fires_on_stale_and_unknown_rules() {
 #[test]
 fn the_committed_atomic_manifest_is_populated_and_justified() {
     assert!(
-        atomics::ATOMIC_SITES.len() >= 32,
-        "the workspace has ~40 distinct atomic (file, field, op, ordering) sites; \
+        atomics::ATOMIC_SITES.len() >= 18,
+        "the workspace has 24 distinct atomic (file, field, op, ordering) sites; \
          got {} manifest rows",
         atomics::ATOMIC_SITES.len()
     );

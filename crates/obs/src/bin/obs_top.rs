@@ -197,10 +197,9 @@ fn render(history: &History, addr: &str, tick: u64) -> String {
     line(
         &mut out,
         format!(
-            "  telemetry: sample 1/{}  ring pushed {}  dropped {}",
+            "  telemetry: sample 1/{}  ring pushed {}",
             value(page, "groupsa_obs_sample_every"),
             value(page, "groupsa_obs_ring_pushed_total"),
-            value(page, "groupsa_obs_ring_dropped_total"),
         ),
     );
     let slow = page.all("groupsa_serve_slow_request_us");

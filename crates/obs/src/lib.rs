@@ -27,8 +27,8 @@
 //!
 //! On top of those, request-lifecycle telemetry for the serve path:
 //!
-//! * [`record`] — per-request [`RequestRecord`]s in a lock-free
-//!   overwrite-oldest [`RecordRing`];
+//! * [`record`] — per-request [`RequestRecord`]s in a bounded,
+//!   `Mutex`-guarded overwrite-oldest [`RecordRing`];
 //! * [`telemetry`] — the [`Telemetry`] facade gating the ring behind
 //!   deterministic `1/N` id-hash sampling (plus unconditional
 //!   slow-request capture);

@@ -1,30 +1,26 @@
-//! Per-request lifecycle records and the fixed-capacity lock-free ring
-//! that stores them.
+//! Per-request lifecycle records and the bounded ring that stores them.
 //!
 //! A [`RequestRecord`] is the compact trail one request leaves behind
-//! as it flows admission → queue → worker → writer: when it arrived,
-//! whether it was admitted or refused, how long it queued, which
-//! worker pop took it, how long scoring and serialisation took,
-//! and how it ended. Records are *sampled* (see
+//! as it flows admission → queue → worker → writer: which connection
+//! sent it, when it arrived, whether it was admitted or refused, how
+//! long it queued, which worker pop took it, how long scoring and
+//! serialisation took, and how it ended. Records are *sampled* (see
 //! [`crate::telemetry::Telemetry`]) and kept in a [`RecordRing`] — a
-//! fixed-capacity overwrite-oldest buffer whose push path is a handful
-//! of relaxed atomic stores, so recording can never block or slow the
-//! serving hot path.
+//! fixed-capacity overwrite-oldest buffer.
 //!
-//! ## Ring semantics (seqlock slots)
+//! ## Ring semantics
 //!
-//! Each slot carries a sequence word: even = stable, odd = a writer is
-//! mid-store. Writers claim the next slot with a single
-//! `fetch_add` on the head index, flip the slot's sequence odd with a
-//! CAS, store the fields, and flip it back even. If the CAS fails —
-//! the ring lapped itself and another writer holds the same slot — the
-//! record is dropped (counted in [`RecordRing::dropped`]): losing the
-//! oldest entry under overwrite-oldest semantics, never waiting.
-//! Readers snapshot by re-checking the sequence word around the field
-//! loads and skip torn slots, so a snapshot contains only records that
-//! were stored completely.
+//! The ring is a `VecDeque` behind a `Mutex`. A push takes the lock,
+//! evicts the oldest record when the ring is full and appends the new
+//! one; a snapshot takes the lock and copies. At most one record is
+//! filed per request, and only under sampling. At the serve
+//! benchmark's rates (≤ ~1.4k req/s on a 2-core host) that is a
+//! short critical section a few thousand times a second: nothing a
+//! lock-free design would win back. The deque grows on demand up to
+//! its capacity, so an idle or disabled ring allocates nothing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How a recorded request left the system. The wire names (lowercase,
 /// via [`RecordOutcome::name`]) are the `request_record` trace event's
@@ -58,26 +54,6 @@ impl RecordOutcome {
             RecordOutcome::Rejected => "rejected",
         }
     }
-
-    fn code(self) -> u64 {
-        match self {
-            RecordOutcome::Completed => 0,
-            RecordOutcome::Error => 1,
-            RecordOutcome::Expired => 2,
-            RecordOutcome::Shed => 3,
-            RecordOutcome::Rejected => 4,
-        }
-    }
-
-    fn from_code(code: u64) -> RecordOutcome {
-        match code {
-            1 => RecordOutcome::Error,
-            2 => RecordOutcome::Expired,
-            3 => RecordOutcome::Shed,
-            4 => RecordOutcome::Rejected,
-            _ => RecordOutcome::Completed,
-        }
-    }
 }
 
 /// One request's lifecycle trail. All times are microseconds; `arrival_us`
@@ -85,6 +61,11 @@ impl RecordOutcome {
 /// the rest are durations of lifecycle phases.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestRecord {
+    /// The connection that sent the request, numbered from 1 by the
+    /// server's accept loop (`0` = an in-process submission). With
+    /// `id` it names the request uniquely: clients number their ids
+    /// from 0, so ids alone repeat across connections.
+    pub conn: u64,
     /// The client-chosen request id (also the sampling key).
     pub id: u64,
     /// Arrival at admission, µs since telemetry start.
@@ -112,131 +93,59 @@ pub struct RequestRecord {
     pub slow: bool,
 }
 
-const SLOT_FIELDS: usize = 8;
-
-/// One seqlock slot: `seq` even = stable, odd = mid-write.
-struct Slot {
-    seq: AtomicU64,
-    data: [AtomicU64; SLOT_FIELDS],
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Slot { seq: AtomicU64::new(0), data: [const { AtomicU64::new(0) }; SLOT_FIELDS] }
-    }
-}
-
-fn pack(record: &RequestRecord) -> [u64; SLOT_FIELDS] {
-    [
-        record.id,
-        record.arrival_us,
-        record.outcome.code() | u64::from(record.slow) << 8,
-        record.queue_us,
-        record.batch,
-        record.score_us,
-        record.write_us,
-        record.total_us,
-    ]
-}
-
-fn unpack(data: [u64; SLOT_FIELDS]) -> RequestRecord {
-    RequestRecord {
-        id: data[0],
-        arrival_us: data[1],
-        outcome: RecordOutcome::from_code(data[2] & 0xff),
-        slow: data[2] & 0x100 != 0,
-        queue_us: data[3],
-        batch: data[4],
-        score_us: data[5],
-        write_us: data[6],
-        total_us: data[7],
-    }
-}
-
-/// Fixed-capacity overwrite-oldest record store with a non-blocking
-/// push path: one `fetch_add` claims a slot, a CAS-guarded seqlock
-/// protects readers from torn stores, and contention on a lapped slot
-/// drops the record instead of waiting.
+/// Fixed-capacity overwrite-oldest record store: a `Mutex`-guarded
+/// deque that keeps the most recent `capacity` records.
+#[derive(Debug)]
 pub struct RecordRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-    dropped: AtomicU64,
+    capacity: usize,
+    state: Mutex<RingState>,
+}
+
+#[derive(Debug, Default)]
+struct RingState {
+    records: VecDeque<RequestRecord>,
+    /// Every push since creation, evicted records included.
+    pushed: u64,
 }
 
 impl RecordRing {
     /// A ring holding the most recent `capacity.max(1)` records.
     pub fn new(capacity: usize) -> Self {
-        let slots = (0..capacity.max(1)).map(|_| Slot::empty()).collect();
-        RecordRing { slots, head: AtomicU64::new(0), dropped: AtomicU64::new(0) }
+        RecordRing { capacity: capacity.max(1), state: Mutex::default() }
     }
 
     /// How many records this ring can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Total push attempts since creation (successful or dropped).
+    /// Total pushes since creation (kept or since overwritten).
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.lock().pushed
     }
 
-    /// Pushes dropped because the ring lapped itself onto a slot
-    /// another writer was still storing (overwrite-oldest under
-    /// extreme contention; never a wait).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Stores `record`, overwriting the oldest entry. Never blocks:
-    /// the only shared state is the head index (`fetch_add`) and the
-    /// claimed slot's sequence word (one CAS that *drops on failure*).
+    /// Stores `record`, evicting the oldest entry when the ring is full.
     pub fn push(&self, record: &RequestRecord) {
-        let index = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(index % self.slots.len() as u64) as usize];
-        let seq = slot.seq.load(Ordering::Relaxed);
-        if seq & 1 == 1 {
-            // A lapped writer is still mid-store; drop rather than spin.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut state = self.lock();
+        if state.records.len() == self.capacity {
+            state.records.pop_front();
         }
-        if slot.seq.compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed).is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        for (cell, value) in slot.data.iter().zip(pack(record)) {
-            cell.store(value, Ordering::Relaxed);
-        }
-        slot.seq.store(seq + 2, Ordering::Release);
+        state.records.push_back(*record);
+        state.pushed += 1;
     }
 
-    /// A consistent copy of every completely-stored record, oldest
-    /// arrival first. Slots a writer is mid-storing (or that were
-    /// overwritten during the read) are skipped, never torn.
+    /// A copy of every stored record, oldest arrival first.
     pub fn snapshot(&self) -> Vec<RequestRecord> {
-        let mut records = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 || before & 1 == 1 {
-                continue; // never written, or a writer is mid-store
-            }
-            let data = std::array::from_fn(|i| slot.data[i].load(Ordering::Relaxed));
-            if slot.seq.load(Ordering::Acquire) != before {
-                continue; // overwritten while reading: skip the torn copy
-            }
-            records.push(unpack(data));
-        }
+        let mut records: Vec<RequestRecord> = self.lock().records.iter().copied().collect();
         records.sort_by_key(|r| (r.arrival_us, r.id));
         records
     }
-}
 
-impl std::fmt::Debug for RecordRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecordRing")
-            .field("capacity", &self.capacity())
-            .field("pushed", &self.pushed())
-            .field("dropped", &self.dropped())
-            .finish()
+    /// The ring state. A push or snapshot cannot panic while holding
+    /// the lock, so a poisoned lock still guards whole records: recover
+    /// it rather than take the serve path down.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -246,6 +155,7 @@ mod tests {
 
     fn record(id: u64) -> RequestRecord {
         RequestRecord {
+            conn: id % 3,
             id,
             arrival_us: 10 * id,
             outcome: RecordOutcome::Completed,
@@ -267,7 +177,6 @@ mod tests {
         let got = ring.snapshot();
         assert_eq!(got, (1..=5).map(record).collect::<Vec<_>>());
         assert_eq!(ring.pushed(), 5);
-        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
@@ -278,22 +187,7 @@ mod tests {
         }
         let got = ring.snapshot();
         assert_eq!(got, (7..=10).map(record).collect::<Vec<_>>(), "only the newest 4 survive");
-    }
-
-    #[test]
-    fn outcome_and_slow_pack_roundtrip() {
-        for outcome in [
-            RecordOutcome::Completed,
-            RecordOutcome::Error,
-            RecordOutcome::Expired,
-            RecordOutcome::Shed,
-            RecordOutcome::Rejected,
-        ] {
-            for slow in [false, true] {
-                let r = RequestRecord { id: 1, outcome, slow, ..RequestRecord::default() };
-                assert_eq!(unpack(pack(&r)), r);
-            }
-        }
+        assert_eq!(ring.pushed(), 10);
     }
 
     #[test]
@@ -317,7 +211,6 @@ mod tests {
         ];
         for (outcome, name) in outcomes {
             assert_eq!(outcome.name(), name);
-            assert_eq!(RecordOutcome::from_code(outcome.code()), outcome);
         }
     }
 }

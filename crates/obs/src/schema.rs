@@ -17,7 +17,7 @@
 //! | `span`    | `name`:str, `dur_us`:num, `depth`:num                             |
 //! | `epoch`   | `stage`:{user,group,mix}, `epoch`, `loss`, `lr`, `seconds`, `examples`, `examples_per_sec`, `forward_us`, `backward_us`, `merge_us`, `step_us` |
 //! | `window`  | `stage`:str, `round`, `start`, `len`, `forward_us`, `backward_us`, `merge_us`, `step_us` |
-//! | `request_record` | `id`, `arrival_us`, `queue_us`, `batch`, `score_us`, `write_us`, `total_us`:num, `outcome`:{ok,error,expired,shed,rejected} |
+//! | `request_record` | `conn`, `id`, `arrival_us`, `queue_us`, `batch`, `score_us`, `write_us`, `total_us`:num, `outcome`:{ok,error,expired,shed,rejected} |
 //! | `metrics` | `registry`:object with `counters`/`gauges`/`histograms` arrays    |
 //! | `stats`   | `stats`:object                                                    |
 //! | `run`     | `label`:str                                                       |
@@ -120,7 +120,7 @@ pub fn validate_event(event: &Json) -> Result<String, String> {
             require_string_in(event, "outcome", &["ok", "error", "expired", "shed", "rejected"])?;
             require_numbers(
                 event,
-                &["id", "arrival_us", "queue_us", "batch", "score_us", "write_us", "total_us"],
+                &["conn", "id", "arrival_us", "queue_us", "batch", "score_us", "write_us", "total_us"],
             )?;
         }
         "metrics" => {
@@ -179,7 +179,7 @@ mod tests {
     /// `outcome` spliced in verbatim.
     fn record(id: &str, outcome: &str) -> String {
         format!(
-            "\"id\":{id},\"outcome\":\"{outcome}\",\"arrival_us\":0,\"queue_us\":0,\"batch\":0,\
+            "\"conn\":1,\"id\":{id},\"outcome\":\"{outcome}\",\"arrival_us\":0,\"queue_us\":0,\"batch\":0,\
              \"score_us\":0,\"write_us\":0,\"total_us\":0"
         )
     }
@@ -201,7 +201,7 @@ mod tests {
             ),
             base(
                 "request_record",
-                "\"id\":7,\"outcome\":\"shed\",\"arrival_us\":10,\"queue_us\":0,\"batch\":0,\
+                "\"conn\":2,\"id\":7,\"outcome\":\"shed\",\"arrival_us\":10,\"queue_us\":0,\"batch\":0,\
                  \"score_us\":0,\"write_us\":0,\"total_us\":3,\"slow\":false",
             ),
             base("metrics", "\"registry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}"),
@@ -224,6 +224,13 @@ mod tests {
         }
         let err = validate_trace(&base("request_record", &record("1", "dropped"))).unwrap_err();
         assert!(err.contains("outcome"), "{err}");
+    }
+
+    #[test]
+    fn request_record_requires_a_connection_key() {
+        let without_conn = record("1", "ok").replacen("\"conn\":1,", "", 1);
+        let err = validate_trace(&base("request_record", &without_conn)).unwrap_err();
+        assert!(err.contains("conn"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * `slow_us` — requests slower than this are captured even when
 //!   sampled out (default [`DEFAULT_SLOW_US`]).
 //! * `ring_capacity` — record-ring capacity (default
-//!   [`DEFAULT_RING_CAPACITY`]).
+//!   [`DEFAULT_RING_CAPACITY`]); the ring allocates as records
+//!   arrive, so a disabled or idle ring holds no memory.
 //!
 //! Windowed rates are not kept here: a reader diffs two reads of the
 //! engine's lifetime counters and histograms (what `obs_top` does).
@@ -23,8 +24,8 @@
 //! SplitMix64 finalizer — no RNG, no per-process seed — so the same
 //! workload samples the same requests on every run, and telemetry can
 //! never perturb anything seeded. When disabled, every entry point
-//! checks one immutable boolean and returns: no clock read, no atomic
-//! RMW, no allocation — the same contract `GROUPSA_TRACE` gating keeps
+//! checks one immutable boolean and returns: no clock read, no lock,
+//! no allocation — the same contract `GROUPSA_TRACE` gating keeps
 //! (DESIGN §10), so serve responses are bit-identical with telemetry
 //! compiled in but off.
 
@@ -80,17 +81,20 @@ impl TelemetryConfig {
     }
 
     /// Parses a `--obs-sample` spec: `1/N` (or bare `N`, meaning
-    /// the same) → `N`; anything else → `0` (off). No panics — a
-    /// malformed spec silently disables telemetry rather than taking
-    /// the server down.
-    pub fn parse_sample(spec: &str) -> u64 {
-        let spec = spec.trim();
-        let denom = match spec.split_once('/') {
-            Some(("1", denom)) => denom.trim(),
-            Some(_) => return 0,
-            None => spec,
+    /// the same) with `N ≥ 1` → `N`. Anything else is an error naming
+    /// the accepted forms, so a typo cannot start a server with
+    /// telemetry silently off.
+    pub fn parse_sample(spec: &str) -> Result<u64, String> {
+        let trimmed = spec.trim();
+        let denom = match trimmed.split_once('/') {
+            Some(("1", denom)) => Some(denom.trim()),
+            Some(_) => None,
+            None => Some(trimmed),
         };
-        denom.parse::<u64>().unwrap_or(0)
+        denom
+            .and_then(|denom| denom.parse::<u64>().ok())
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("`{spec}` is not a sample rate (expected 1/N or N, with N >= 1)"))
     }
 }
 
@@ -175,6 +179,7 @@ impl Telemetry {
             crate::emit(
                 "request_record",
                 &[
+                    ("conn", crate::to_json(&record.conn)),
                     ("id", crate::to_json(&record.id)),
                     ("outcome", crate::to_json(&record.outcome.name())),
                     ("arrival_us", crate::to_json(&record.arrival_us)),
@@ -199,14 +204,9 @@ impl Telemetry {
         self.ring.snapshot().into_iter().filter(|r| r.slow).collect()
     }
 
-    /// Total ring pushes attempted (sampled + slow captures).
+    /// Total ring pushes (sampled + slow captures).
     pub fn ring_pushed(&self) -> u64 {
         self.ring.pushed()
-    }
-
-    /// Ring pushes dropped under same-slot contention.
-    pub fn ring_dropped(&self) -> u64 {
-        self.ring.dropped()
     }
 }
 
@@ -217,13 +217,14 @@ mod tests {
 
     #[test]
     fn sample_spec_parsing() {
-        assert_eq!(TelemetryConfig::parse_sample("1/1"), 1);
-        assert_eq!(TelemetryConfig::parse_sample("1/64"), 64);
-        assert_eq!(TelemetryConfig::parse_sample(" 1/8 "), 8);
-        assert_eq!(TelemetryConfig::parse_sample("16"), 16);
-        assert_eq!(TelemetryConfig::parse_sample("2/3"), 0, "only 1/N specs");
-        assert_eq!(TelemetryConfig::parse_sample("off"), 0);
-        assert_eq!(TelemetryConfig::parse_sample(""), 0);
+        assert_eq!(TelemetryConfig::parse_sample("1/1"), Ok(1));
+        assert_eq!(TelemetryConfig::parse_sample("1/64"), Ok(64));
+        assert_eq!(TelemetryConfig::parse_sample(" 1/8 "), Ok(8));
+        assert_eq!(TelemetryConfig::parse_sample("16"), Ok(16));
+        for bad in ["2/3", "off", "", "0", "1/0"] {
+            let err = TelemetryConfig::parse_sample(bad).unwrap_err();
+            assert!(err.contains("expected 1/N or N"), "`{bad}`: {err}");
+        }
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!
 //! `--obs-sample 1/N` turns on request-lifecycle telemetry (stage
 //! records for every Nth request plus slow-request capture, and the
-//! slow-request samples on the `MetricsDump` page). It is the one
-//! telemetry switch: without it, telemetry is off and the serve path
-//! pays one boolean load per request. The page's lifetime counters
+//! slow-request samples on the `MetricsDump` page); a spec other than
+//! `1/N` or `N` with N ≥ 1 is a usage error. It is the one telemetry
+//! switch: without it, telemetry is off and the serve path pays one
+//! boolean load per request. The page's lifetime counters
 //! and histograms are live either way.
 
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
@@ -122,7 +123,9 @@ fn run() -> Result<(), String> {
         // No flag means `None`: telemetry off.
         telemetry: flags
             .get("obs-sample")
-            .map(|spec| TelemetryConfig::sampling(TelemetryConfig::parse_sample(spec))),
+            .map(|spec| TelemetryConfig::parse_sample(spec).map(TelemetryConfig::sampling))
+            .transpose()
+            .map_err(|e| format!("--obs-sample: {e}\n{USAGE}"))?,
     };
     let server_cfg = groupsa_serve::ServerConfig {
         rate_limit: num(&flags, "rate-limit", 0)?,

@@ -118,6 +118,9 @@ impl PendingRecord {
 }
 
 struct Job {
+    /// The submitting connection's number (`0` = in-process), carried
+    /// into the job's lifecycle record.
+    conn: u64,
     req: RecommendRequest,
     deadline: Option<Instant>,
     enqueued: Instant,
@@ -176,12 +179,13 @@ impl Engine {
     /// Files a lifecycle record for a request refused at admission
     /// (never queued, so every stage after arrival is zero). One ring
     /// push when telemetry is on; nothing at all when it is off.
-    fn record_refusal(&self, id: u64, outcome: RecordOutcome) {
+    fn record_refusal(&self, conn: u64, id: u64, outcome: RecordOutcome) {
         let telemetry = self.shared.metrics.telemetry();
         if !telemetry.enabled() {
             return;
         }
         let record = RequestRecord {
+            conn,
             id,
             arrival_us: telemetry.now_us(),
             outcome,
@@ -192,73 +196,87 @@ impl Engine {
 
     /// Runs the shared admission policy and, on success, enqueues the
     /// job and wakes a worker. `Err` carries the ready-to-send refusal
-    /// response (rejection, shed, or poison).
-    fn enqueue(&self, req: RecommendRequest, reply: Sender<Outbound>) -> Result<(), Response> {
+    /// response (rejection, shed, or poison). A refusal's lifecycle
+    /// record is filed after the queue guard drops, so the record
+    /// ring's lock never nests under the queue lock.
+    fn enqueue(&self, conn: u64, req: RecommendRequest, reply: Sender<Outbound>) -> Result<(), Response> {
         let id = req.id;
+        match self.admit(conn, req, reply) {
+            Ok(()) => {
+                self.shared.available.notify_one();
+                Ok(())
+            }
+            Err((error, outcome)) => {
+                self.record_refusal(conn, id, outcome);
+                Err(error.into_response(id))
+            }
+        }
+    }
+
+    /// The admission policy under the queue lock: counts the request
+    /// and queues it, or counts the refusal and returns it with its
+    /// record outcome.
+    fn admit(
+        &self,
+        conn: u64,
+        req: RecommendRequest,
+        reply: Sender<Outbound>,
+    ) -> Result<(), (ServeError, RecordOutcome)> {
         let deadline_ms = match req.deadline_ms {
             0 => self.shared.cfg.default_deadline_ms,
             ms => ms,
         };
-        {
-            // A poisoned queue means a worker panicked mid-drain; the
-            // submitter gets a typed error instead of a second panic.
-            let mut queue = match self.shared.queue.lock() {
-                Ok(queue) => queue,
-                Err(_) => {
-                    self.shared.metrics.note_rejected();
-                    self.record_refusal(id, RecordOutcome::Rejected);
-                    return Err(ServeError::LockPoisoned { what: "queue" }.into_response(id));
-                }
-            };
-            if self.shared.stopping.load(Ordering::SeqCst) {
+        // A poisoned queue means a worker panicked mid-drain; the
+        // submitter gets a typed error instead of a second panic.
+        let mut queue = match self.shared.queue.lock() {
+            Ok(queue) => queue,
+            Err(_) => {
                 self.shared.metrics.note_rejected();
-                self.record_refusal(id, RecordOutcome::Rejected);
-                return Err(ServeError::ShuttingDown.into_response(id));
+                return Err((ServeError::LockPoisoned { what: "queue" }, RecordOutcome::Rejected));
             }
-            if queue.len() >= self.shared.cfg.queue_capacity {
-                self.shared.metrics.note_rejected();
-                self.record_refusal(id, RecordOutcome::Rejected);
-                return Err(ServeError::QueueFull { pending: queue.len() }.into_response(id));
-            }
-            // Deadline-aware shedding: if the observed queue wait says
-            // this deadline is already unmeetable, answer now (in µs)
-            // rather than expiring it late (after deadline_ms). Shed
-            // requests count as submitted — they passed the hard
-            // admission bound — so under overload
-            // `submitted == completed + errors + expired + shed`.
-            if self.shared.cfg.shed && deadline_ms > 0 {
-                let predicted_wait_us = self
-                    .shared
-                    .service
-                    .predicted_wait_us(queue.len(), self.shared.cfg.workers);
-                if predicted_wait_us > deadline_ms.saturating_mul(1000) {
-                    self.shared.metrics.note_submitted();
-                    self.shared.metrics.note_shed();
-                    self.record_refusal(id, RecordOutcome::Shed);
-                    return Err(
-                        ServeError::Shed { predicted_wait_us, deadline_ms }.into_response(id)
-                    );
-                }
-            }
-            let telemetry = self.shared.metrics.telemetry();
-            let now = Instant::now();
-            queue.push_back(Job {
-                req,
-                deadline: (deadline_ms > 0)
-                    .then(|| now + std::time::Duration::from_millis(deadline_ms)),
-                enqueued: now,
-                sampled: telemetry.enabled() && telemetry.sampled(id),
-                reply,
-            });
-            self.shared.metrics.note_submitted();
-            self.shared.metrics.note_queue_depth(queue.len());
+        };
+        if self.shared.stopping.load(Ordering::SeqCst) {
+            self.shared.metrics.note_rejected();
+            return Err((ServeError::ShuttingDown, RecordOutcome::Rejected));
         }
-        self.shared.available.notify_one();
+        if queue.len() >= self.shared.cfg.queue_capacity {
+            self.shared.metrics.note_rejected();
+            return Err((ServeError::QueueFull { pending: queue.len() }, RecordOutcome::Rejected));
+        }
+        // Deadline-aware shedding: if the observed queue wait says
+        // this deadline is already unmeetable, answer now (in µs)
+        // rather than expiring it late (after deadline_ms). Shed
+        // requests count as submitted — they passed the hard
+        // admission bound — so under overload
+        // `submitted == completed + errors + expired + shed`.
+        if self.shared.cfg.shed && deadline_ms > 0 {
+            let predicted_wait_us =
+                self.shared.service.predicted_wait_us(queue.len(), self.shared.cfg.workers);
+            if predicted_wait_us > deadline_ms.saturating_mul(1000) {
+                self.shared.metrics.note_submitted();
+                self.shared.metrics.note_shed();
+                return Err((ServeError::Shed { predicted_wait_us, deadline_ms }, RecordOutcome::Shed));
+            }
+        }
+        let telemetry = self.shared.metrics.telemetry();
+        let now = Instant::now();
+        let id = req.id;
+        queue.push_back(Job {
+            conn,
+            req,
+            deadline: (deadline_ms > 0).then(|| now + Duration::from_millis(deadline_ms)),
+            enqueued: now,
+            sampled: telemetry.enabled() && telemetry.sampled(id),
+            reply,
+        });
+        self.shared.metrics.note_submitted();
+        self.shared.metrics.note_queue_depth(queue.len());
         Ok(())
     }
 
     /// Submits one request and blocks until its response is ready:
-    /// [`Engine::submit_streamed`] into a fresh channel, then `recv`.
+    /// [`Engine::submit_streamed`] (as connection `0`) into a fresh
+    /// channel, then `recv`.
     /// Admission fails fast (an `Error` response) when the engine is
     /// stopping, the queue is full, or the deadline is predicted
     /// unmeetable. The in-process path has no write stage, so a
@@ -266,7 +284,7 @@ impl Engine {
     pub fn submit(&self, req: RecommendRequest) -> Response {
         let id = req.id;
         let (tx, rx) = mpsc::channel();
-        self.submit_streamed(req, tx);
+        self.submit_streamed(0, req, tx);
         match rx.recv() {
             Ok(Outbound { response, record }) => {
                 if let Some(pending) = record {
@@ -284,15 +302,17 @@ impl Engine {
     /// pipelining path: a connection thread calls it once per parsed
     /// line and keeps reading, so many requests ride the engine at
     /// once while a single writer drains `reply` in completion order.
-    pub fn submit_streamed(&self, req: RecommendRequest, reply: Sender<Outbound>) {
-        if let Err(refusal) = self.enqueue(req, reply.clone()) {
+    /// `conn` names the submitting connection in the request's
+    /// lifecycle record (`0` for in-process callers).
+    pub fn submit_streamed(&self, conn: u64, req: RecommendRequest, reply: Sender<Outbound>) {
+        if let Err(refusal) = self.enqueue(conn, req, reply.clone()) {
             let _ = reply.send(Outbound::plain(refusal));
         }
     }
 
-    /// A live metrics snapshot (engine counters + frozen-cache stats).
+    /// A live metrics snapshot (engine counters + serving universe).
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.metrics.snapshot(self.shared.model.load().cache_stats())
+        self.shared.metrics.snapshot(self.shared.model.load().universe())
     }
 
     /// The engine's telemetry facade: sampling config and record ring.
@@ -305,7 +325,7 @@ impl Engine {
     /// Renders the live Prometheus-style metrics page — the body of a
     /// `MetricsDump` protocol response.
     pub fn exposition(&self) -> String {
-        self.shared.metrics.exposition(self.shared.model.load().cache_stats())
+        self.shared.metrics.exposition()
     }
 
     /// The engine metrics, for collaborators in this crate (the server
@@ -433,6 +453,7 @@ fn answer_worker_lost(shared: &Shared, jobs: Vec<Job>) {
         if telemetry.enabled() {
             telemetry.observe(
                 RequestRecord {
+                    conn: job.conn,
                     id: job.req.id,
                     arrival_us: telemetry.us_since_start(job.enqueued),
                     outcome: RecordOutcome::Error,
@@ -519,6 +540,7 @@ fn finish_job(shared: &Shared, popped: Instant, job: Job, response: Response, ex
     };
     let telemetry = shared.metrics.telemetry();
     let record = telemetry.enabled().then(|| RequestRecord {
+        conn: job.conn,
         id: job.req.id,
         arrival_us: telemetry.us_since_start(job.enqueued),
         outcome,
@@ -619,6 +641,7 @@ mod tests {
             receivers.push(rx);
             shared.metrics.note_submitted();
             jobs.push(Job {
+                conn: 0,
                 req: RecommendRequest {
                     id,
                     target: Target::User { id: 0 },
@@ -641,7 +664,7 @@ mod tests {
                 "{resp:?}"
             );
         }
-        let stats = shared.metrics.snapshot(crate::metrics::CacheStats::default());
+        let stats = shared.metrics.snapshot(crate::metrics::Universe::default());
         assert_eq!(stats.errors, 3);
         assert_eq!(stats.submitted, stats.completed + stats.errors + stats.expired + stats.shed);
     }

@@ -22,7 +22,7 @@
 //! [`crate::Engine::publish`], which validates it against the serving
 //! universe.
 
-use crate::metrics::CacheStats;
+use crate::metrics::Universe;
 use crate::protocol::Target;
 use groupsa_core::{DataContext, GroupMode, GroupSa, Recommendation, TopK};
 use groupsa_snapshot::{
@@ -31,7 +31,6 @@ use groupsa_snapshot::{
 };
 use groupsa_tensor::Matrix;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Candidates scored per fused scan step: large enough that the
@@ -58,8 +57,6 @@ pub struct FrozenModel {
     ctx: Arc<DataContext>,
     /// `h_j` per user and post-voting `l×d` member reps per group.
     tables: Box<dyn TableStore>,
-    latent_hits: AtomicU64,
-    rep_hits: AtomicU64,
 }
 
 impl FrozenModel {
@@ -83,8 +80,6 @@ impl FrozenModel {
             model: Arc::new(model),
             ctx: Arc::new(ctx),
             tables: Box::new(MemoryTables::new(user_latents, group_reps, dim)),
-            latent_hits: AtomicU64::new(0),
-            rep_hits: AtomicU64::new(0),
         }
     }
 
@@ -138,13 +133,7 @@ impl FrozenModel {
         if meta.dim != dim {
             return Err(format!("snapshot dim {} does not match model dim {dim}", meta.dim));
         }
-        Ok(Self {
-            model,
-            ctx,
-            tables: Box::new(SnapshotTables::new(snap)),
-            latent_hits: AtomicU64::new(0),
-            rep_hits: AtomicU64::new(0),
-        })
+        Ok(Self { model, ctx, tables: Box::new(SnapshotTables::new(snap)) })
     }
 
     /// Writes this model's caches as a sharded binary snapshot under
@@ -236,19 +225,10 @@ impl FrozenModel {
                 }
                 let held = self.tables.user_latent(id).map_err(|e| e.to_string())?;
                 let latent = held.as_deref();
-                let mut counted = false;
                 Ok(self.scan(
                     |i| !exclude_seen || !self.ctx.user_item_graph.has_interaction(id, i),
                     k,
                     |chunk, acc| {
-                        // Cache-hit accounting is per *request*, not per
-                        // chunk — note it on the first scored slice only.
-                        if !counted {
-                            counted = true;
-                            if latent.is_some() {
-                                self.latent_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
                         let scores = self.model.score_user_items_frozen(id, chunk, latent);
                         for (&item, score) in chunk.iter().zip(scores) {
                             acc.push(item, score);
@@ -264,12 +244,7 @@ impl FrozenModel {
                 match mode {
                     GroupMode::Voting => {
                         let reps = self.tables.group_rep(id).map_err(|e| e.to_string())?;
-                        let mut counted = false;
                         Ok(self.scan(keep, k, |chunk, acc| {
-                            if !counted {
-                                counted = true;
-                                self.rep_hits.fetch_add(1, Ordering::Relaxed);
-                            }
                             let scores = self.model.score_group_items_frozen(&reps, chunk);
                             for (&item, score) in chunk.iter().zip(scores) {
                                 acc.push(item, score);
@@ -294,13 +269,7 @@ impl FrozenModel {
                             .map_err(|e| e.to_string())?;
                         let latent_refs: Vec<Option<&Matrix>> =
                             held.iter().map(|h| h.as_deref()).collect();
-                        let mut counted = false;
                         Ok(self.scan(keep, k, |chunk, acc| {
-                            if !counted {
-                                counted = true;
-                                let hits = latent_refs.iter().filter(|l| l.is_some()).count() as u64;
-                                self.latent_hits.fetch_add(hits, Ordering::Relaxed);
-                            }
                             let per_member = self.model.score_users_items_frozen(members, &latent_refs, chunk);
                             for (idx, &item) in chunk.iter().enumerate() {
                                 acc.push(item, agg.combine(per_member.iter().map(|row| row[idx])));
@@ -348,11 +317,9 @@ impl FrozenModel {
         acc.into_sorted()
     }
 
-    /// Point-in-time cache counters for the metrics snapshot.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            latent_hits: self.latent_hits.load(Ordering::Relaxed),
-            group_rep_hits: self.rep_hits.load(Ordering::Relaxed),
+    /// The serving universe's sizes, for the metrics snapshot.
+    pub fn universe(&self) -> Universe {
+        Universe {
             num_users: self.ctx.num_users,
             num_items: self.ctx.num_items,
             num_groups: self.ctx.num_groups(),

@@ -54,6 +54,6 @@ pub(crate) mod swap;
 pub use engine::{Engine, EngineConfig};
 pub use error::ServeError;
 pub use frozen::FrozenModel;
-pub use metrics::{CacheStats, Metrics, StatsSnapshot};
+pub use metrics::{Metrics, StatsSnapshot, Universe};
 pub use protocol::{RecommendRequest, Request, Response, ServeMode, Target};
 pub use server::ServerConfig;

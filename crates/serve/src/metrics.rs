@@ -159,7 +159,7 @@ impl Metrics {
 
     /// A consistent-enough point-in-time copy (relaxed reads; exact
     /// once the engine is quiescent, e.g. at shutdown).
-    pub fn snapshot(&self, cache: CacheStats) -> StatsSnapshot {
+    pub fn snapshot(&self, universe: Universe) -> StatsSnapshot {
         let latency = self.latency.snapshot();
         let queue_wait = self.queue_wait.snapshot();
         let score = self.score.snapshot();
@@ -189,11 +189,9 @@ impl Metrics {
             p95_score_us: score.p95,
             mean_write_us: write.mean,
             p95_write_us: write.p95,
-            latent_cache_hits: cache.latent_hits,
-            group_rep_cache_hits: cache.group_rep_hits,
-            num_users: cache.num_users,
-            num_items: cache.num_items,
-            num_groups: cache.num_groups,
+            num_users: universe.num_users,
+            num_items: universe.num_items,
+            num_groups: universe.num_groups,
         }
     }
 
@@ -204,7 +202,7 @@ impl Metrics {
     /// Every name in [`EXPOSITION_METRICS`] is always declared, so
     /// validators can assert coverage against a page from any engine
     /// state.
-    pub fn exposition(&self, cache: CacheStats) -> String {
+    pub fn exposition(&self) -> String {
         let mut e = Exposition::new();
         for (name, value) in [
             ("groupsa_serve_submitted_total", self.submitted.get()),
@@ -235,13 +233,6 @@ impl Metrics {
         }
         e.gauge("groupsa_obs_sample_every", self.telemetry.config().sample_every as f64);
         e.counter("groupsa_obs_ring_pushed_total", self.telemetry.ring_pushed());
-        e.counter("groupsa_obs_ring_dropped_total", self.telemetry.ring_dropped());
-        for (name, value) in [
-            ("groupsa_serve_cache_latent_hits_total", cache.latent_hits),
-            ("groupsa_serve_cache_group_rep_hits_total", cache.group_rep_hits),
-        ] {
-            e.counter(name, value);
-        }
         // Most recent slow requests, newest last, as labelled samples
         // (value = total µs; the stage split rides in the labels).
         e.labeled_gauge("groupsa_serve_slow_request_us", &[("id", "none")], 0.0);
@@ -289,20 +280,13 @@ pub const EXPOSITION_METRICS: &[&str] = &[
     "groupsa_serve_write_us",
     "groupsa_obs_sample_every",
     "groupsa_obs_ring_pushed_total",
-    "groupsa_obs_ring_dropped_total",
-    "groupsa_serve_cache_latent_hits_total",
-    "groupsa_serve_cache_group_rep_hits_total",
     "groupsa_serve_slow_request_us",
 ];
 
-/// Cache statistics contributed by the `FrozenModel`, merged into the
-/// engine snapshot.
+/// The serving universe's sizes, contributed by the `FrozenModel` and
+/// merged into the engine snapshot so clients can pick valid ids.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct CacheStats {
-    /// User-latent cache reads that found a precomputed entry.
-    pub latent_hits: u64,
-    /// Group-representation cache reads.
-    pub group_rep_hits: u64,
+pub struct Universe {
     /// Users in the frozen universe.
     pub num_users: usize,
     /// Items in the frozen universe.
@@ -380,10 +364,6 @@ pub struct StatsSnapshot {
     pub mean_write_us: f64,
     /// 95th-percentile write time (µs, bucket upper bound).
     pub p95_write_us: u64,
-    /// User-latent cache hits.
-    pub latent_cache_hits: u64,
-    /// Group-representation cache hits.
-    pub group_rep_cache_hits: u64,
     /// Users in the frozen universe (lets clients pick valid ids).
     pub num_users: usize,
     /// Items in the frozen universe.
@@ -417,8 +397,6 @@ impl_json_struct!(StatsSnapshot {
     p95_score_us,
     mean_write_us,
     p95_write_us,
-    latent_cache_hits,
-    group_rep_cache_hits,
     num_users,
     num_items,
     num_groups,
@@ -450,7 +428,7 @@ mod tests {
         for _ in 0..10 {
             m.note_completed(Duration::from_micros(1000));
         }
-        let s = m.snapshot(CacheStats::default());
+        let s = m.snapshot(Universe::default());
         assert_eq!(s.completed, 100);
         assert_eq!(s.p50_latency_us, 16, "8 µs lands in (4,8] → upper bound 16");
         assert_eq!(s.p95_latency_us, 1024);
@@ -467,7 +445,7 @@ mod tests {
         for _ in 0..10 {
             m.note_completed(Duration::from_micros(1000));
         }
-        let s = m.snapshot(CacheStats::default());
+        let s = m.snapshot(Universe::default());
         assert_eq!(s.latency_buckets.len(), groupsa_obs::NUM_BUCKETS);
         assert_eq!(s.latency_buckets[bucket_of(8)], 90);
         assert_eq!(s.latency_buckets[bucket_of(1000)], 10);
@@ -484,7 +462,7 @@ mod tests {
         m.note_queue_depth(3);
         m.note_queue_depth(11);
         m.note_queue_depth(2);
-        let s = m.snapshot(CacheStats::default());
+        let s = m.snapshot(Universe::default());
         assert_eq!(s.max_queue_depth, 11);
     }
 
@@ -496,7 +474,7 @@ mod tests {
         let m = Metrics::new();
         m.note_queue_depth(64);
         m.note_queue_depth(0); // drained
-        let s = m.snapshot(CacheStats::default());
+        let s = m.snapshot(Universe::default());
         assert_eq!(s.last_queue_depth, 0, "last sample is the drained queue");
         assert_eq!(s.max_queue_depth, 64, "saturation must stay visible");
     }
@@ -507,7 +485,7 @@ mod tests {
         m.note_queue_wait(Duration::from_micros(100));
         m.note_queue_wait(Duration::from_micros(300));
         m.note_score(Duration::from_micros(50));
-        let s = m.snapshot(CacheStats::default());
+        let s = m.snapshot(Universe::default());
         assert!((s.mean_queue_wait_us - 200.0).abs() < 1e-9);
         assert_eq!(s.p95_queue_wait_us, 512, "300 µs lands in (256,512]");
         assert!((s.mean_score_us - 50.0).abs() < 1e-9);
@@ -516,7 +494,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_snapshot_is_all_zero() {
-        let s = Metrics::new().snapshot(CacheStats::default());
+        let s = Metrics::new().snapshot(Universe::default());
         assert_eq!(s.p50_latency_us, 0);
         assert_eq!(s.mean_latency_us, 0.0);
         assert_eq!(s.mean_batch, 0.0);
@@ -540,7 +518,7 @@ mod tests {
         m.note_reload();
         m.note_open_connections(3);
         m.note_open_connections(1);
-        let s = m.snapshot(CacheStats::default());
+        let s = m.snapshot(Universe::default());
         assert_eq!(s.submitted, s.completed + s.errors + s.expired + s.shed);
         assert_eq!(s.shed, 1);
         assert_eq!(s.limited, 1);
@@ -551,7 +529,7 @@ mod tests {
 
     #[test]
     fn exposition_declares_every_contract_metric_even_when_fresh() {
-        let page = Metrics::new().exposition(CacheStats::default());
+        let page = Metrics::new().exposition();
         let parsed = groupsa_obs::expo::parse(&page).expect("a fresh page parses");
         for name in EXPOSITION_METRICS {
             assert!(parsed.declares(name), "missing # TYPE for {name}");
@@ -573,10 +551,9 @@ mod tests {
             groupsa_obs::RequestRecord { id: 77, total_us: 123, ..Default::default() },
             true,
         );
-        let page = m.exposition(CacheStats { latent_hits: 5, ..CacheStats::default() });
+        let page = m.exposition();
         let parsed = groupsa_obs::expo::parse(&page).unwrap();
         assert_eq!(parsed.value("groupsa_serve_submitted_total"), Some(1.0));
-        assert_eq!(parsed.value("groupsa_serve_cache_latent_hits_total"), Some(5.0));
         assert_eq!(parsed.value("groupsa_serve_write_us_count"), Some(1.0));
         assert_eq!(parsed.value("groupsa_obs_sample_every"), Some(1.0));
         let slow = parsed.all("groupsa_serve_slow_request_us");
@@ -591,7 +568,7 @@ mod tests {
         let m = Metrics::new();
         m.note_write(Duration::from_micros(10));
         m.note_write(Duration::from_micros(30));
-        let s = m.snapshot(CacheStats::default());
+        let s = m.snapshot(Universe::default());
         assert!((s.mean_write_us - 20.0).abs() < 1e-9);
         assert_eq!(s.p95_write_us, 32, "30 µs lands in (16,32]");
     }
@@ -607,10 +584,10 @@ mod tests {
     #[test]
     fn mean_batch_reads_one_once_a_job_left_the_queue() {
         let m = Metrics::new();
-        assert_eq!(m.snapshot(CacheStats::default()).mean_batch, 0.0);
+        assert_eq!(m.snapshot(Universe::default()).mean_batch, 0.0);
         m.note_queue_wait(Duration::from_micros(5));
         m.note_queue_wait(Duration::from_micros(9));
-        assert_eq!(m.snapshot(CacheStats::default()).mean_batch, 1.0);
+        assert_eq!(m.snapshot(Universe::default()).mean_batch, 1.0);
     }
 
     #[test]
@@ -618,7 +595,7 @@ mod tests {
         let m = Metrics::new();
         m.note_submitted();
         m.note_completed(Duration::from_micros(42));
-        let s = m.snapshot(CacheStats { num_users: 3, ..CacheStats::default() });
+        let s = m.snapshot(Universe { num_users: 3, ..Universe::default() });
         let text = groupsa_json::to_string(&s);
         assert_eq!(groupsa_json::from_str::<StatsSnapshot>(&text).unwrap(), s);
     }

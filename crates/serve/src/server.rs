@@ -83,17 +83,24 @@ pub fn run_with(listener: TcpListener, engine: Arc<Engine>, cfg: ServerConfig) -
     // handle, so shutdown can sever sockets whose clients never hang
     // up (a blocking `read_line` only returns once the socket dies).
     let mut live: Vec<(std::thread::JoinHandle<()>, Option<TcpStream>)> = Vec::new();
+    // Connections are numbered from 1 in accept order (0 is the
+    // in-process `Engine::submit`); the number keys every lifecycle
+    // record the connection's requests leave. Only this thread
+    // accepts, so a plain counter suffices.
+    let mut accepted = 0u64;
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 if stream.set_nonblocking(false).is_err() {
                     continue; // socket already dead
                 }
+                accepted += 1;
+                let conn = accepted;
                 let spare = stream.try_clone().ok();
                 let engine = Arc::clone(&engine);
                 let stop = Arc::clone(&stop);
                 match std::thread::Builder::new().name("serve-conn".into()).spawn(move || {
-                    handle_connection(stream, &engine, &stop, cfg);
+                    handle_connection(conn, stream, &engine, &stop, cfg);
                 }) {
                     Ok(handle) => live.push((handle, spare)),
                     Err(_) => {
@@ -176,7 +183,7 @@ fn finish(mut live: Vec<(std::thread::JoinHandle<()>, Option<TcpStream>)>, engin
     engine.metrics().note_open_connections(0);
 }
 
-/// Runs one pipelined connection to completion.
+/// Runs connection number `conn` to completion, pipelined.
 ///
 /// The calling thread is the reader: it parses each line and either
 /// answers it structurally (admission refusals, `Stats`, `Reload`,
@@ -191,7 +198,13 @@ fn finish(mut live: Vec<(std::thread::JoinHandle<()>, Option<TcpStream>)>, engin
 /// enabled it times each serialize-and-write, feeds the write
 /// histogram, and files the [`Outbound`]'s pending lifecycle record —
 /// the only point that knows when the response bytes actually left.
-fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, stop: &AtomicBool, cfg: ServerConfig) {
+fn handle_connection(
+    conn: u64,
+    stream: TcpStream,
+    engine: &Arc<Engine>,
+    stop: &AtomicBool,
+    cfg: ServerConfig,
+) {
     let writer_stream = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -320,7 +333,7 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, stop: &AtomicBool,
                 break;
             }
             request => match request.into_recommend() {
-                Some(req) => engine.submit_streamed(req, tx.clone()),
+                Some(req) => engine.submit_streamed(conn, req, tx.clone()),
                 // Unreachable today (every variant is matched above),
                 // but a future Request variant must degrade to an
                 // error reply, not a server panic.

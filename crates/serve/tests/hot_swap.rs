@@ -6,6 +6,9 @@
 //! landed on (an f32 snapshot reproduces the in-memory model
 //! bit-for-bit, so both sides agree on the bytes).
 
+mod common;
+
+use common::fresh_dir;
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
 use groupsa_serve::engine::{Engine, EngineConfig};
@@ -14,7 +17,6 @@ use groupsa_serve::server::{self, ServerConfig};
 use groupsa_serve::FrozenModel;
 use groupsa_snapshot::Quant;
 use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const NUM_USERS: usize = 60;
@@ -48,12 +50,6 @@ fn world(seed: u64, num_groups: usize) -> (DataContext, GroupSa) {
 fn frozen(seed: u64, num_groups: usize) -> Arc<FrozenModel> {
     let (ctx, model) = world(seed, num_groups);
     Arc::new(FrozenModel::freeze(model, ctx))
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("groupsa-hotswap-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn user_request(id: u64) -> RecommendRequest {

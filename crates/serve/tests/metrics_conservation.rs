@@ -177,7 +177,7 @@ fn overload_sheds_at_admission_and_conserves_submissions() {
     let (tx, rx) = std::sync::mpsc::channel();
     let backlog = 32u64;
     for i in 0..backlog {
-        engine.submit_streamed(request(100 + i, (i as usize) % NUM_GROUPS, 0), tx.clone());
+        engine.submit_streamed(0, request(100 + i, (i as usize) % NUM_GROUPS, 0), tx.clone());
     }
 
     // With ~32 queued and a warmed per-request estimate, the predicted
@@ -221,7 +221,7 @@ fn a_drained_queue_reads_depth_zero_and_keeps_its_peak() {
     let (tx, rx) = std::sync::mpsc::channel();
     let n = 12u64;
     for i in 0..n {
-        engine.submit_streamed(request(i, (i as usize) % NUM_GROUPS, 0), tx.clone());
+        engine.submit_streamed(0, request(i, (i as usize) % NUM_GROUPS, 0), tx.clone());
     }
     drop(tx);
     let answered = rx.iter().filter(|out| matches!(out.response, Response::Recommend { .. }));
@@ -276,7 +276,7 @@ fn sampled_records_reconcile_with_conservation_counters() {
     // role and files each pending record itself.
     let (tx, rx) = std::sync::mpsc::channel();
     for i in 0..32u64 {
-        engine.submit_streamed(request(100 + i, (i as usize) % NUM_GROUPS, 0), tx.clone());
+        engine.submit_streamed(0, request(100 + i, (i as usize) % NUM_GROUPS, 0), tx.clone());
     }
     // Shed lane: with the queue stacked and the EWMA warm, a 1 ms
     // deadline is predicted unmeetable.
@@ -285,7 +285,7 @@ fn sampled_records_reconcile_with_conservation_counters() {
     // must overflow the 64-slot bound while the single worker grinds
     // through the first one.
     for i in 0..64u64 {
-        engine.submit_streamed(request(200 + i, (i as usize) % NUM_GROUPS, 0), tx.clone());
+        engine.submit_streamed(0, request(200 + i, (i as usize) % NUM_GROUPS, 0), tx.clone());
     }
     drop(tx);
     while let Ok(out) = rx.recv_timeout(std::time::Duration::from_secs(60)) {

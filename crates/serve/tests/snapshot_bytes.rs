@@ -8,7 +8,7 @@
 //! order in those bytes must be the declared one (so bench artifacts
 //! and `stats` replies diff cleanly between runs).
 
-use groupsa_serve::metrics::{CacheStats, Metrics, StatsSnapshot};
+use groupsa_serve::metrics::{Metrics, StatsSnapshot, Universe};
 use std::time::Duration;
 
 fn drive(m: &Metrics) {
@@ -24,14 +24,8 @@ fn drive(m: &Metrics) {
     m.note_expired();
 }
 
-fn cache() -> CacheStats {
-    CacheStats {
-        latent_hits: 40,
-        group_rep_hits: 9,
-        num_users: 60,
-        num_items: 40,
-        num_groups: 25,
-    }
+fn universe() -> Universe {
+    Universe { num_users: 60, num_items: 40, num_groups: 25 }
 }
 
 #[test]
@@ -39,11 +33,11 @@ fn identically_driven_metrics_serialize_to_identical_bytes() {
     let (a, b) = (Metrics::new(), Metrics::new());
     drive(&a);
     drive(&b);
-    let ja = groupsa_json::to_string(&a.snapshot(cache()));
-    let jb = groupsa_json::to_string(&b.snapshot(cache()));
+    let ja = groupsa_json::to_string(&a.snapshot(universe()));
+    let jb = groupsa_json::to_string(&b.snapshot(universe()));
     assert_eq!(ja, jb, "same history, different bytes");
     // And serialising the same snapshot twice is byte-stable too.
-    let snap = a.snapshot(cache());
+    let snap = a.snapshot(universe());
     assert_eq!(groupsa_json::to_string(&snap), groupsa_json::to_string(&snap));
 }
 
@@ -51,7 +45,7 @@ fn identically_driven_metrics_serialize_to_identical_bytes() {
 fn snapshot_keys_appear_in_declaration_order() {
     let m = Metrics::new();
     drive(&m);
-    let json = groupsa_json::to_string(&m.snapshot(cache()));
+    let json = groupsa_json::to_string(&m.snapshot(universe()));
     let keys = [
         "\"submitted\"",
         "\"completed\"",
@@ -74,7 +68,7 @@ fn snapshot_keys_appear_in_declaration_order() {
 fn snapshot_roundtrips_through_its_own_bytes() {
     let m = Metrics::new();
     drive(&m);
-    let snap = m.snapshot(cache());
+    let snap = m.snapshot(universe());
     let text = groupsa_json::to_string(&snap);
     let back: StatsSnapshot = groupsa_json::from_str(&text).expect("parse back");
     assert_eq!(back, snap);

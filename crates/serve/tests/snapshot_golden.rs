@@ -3,13 +3,15 @@
 //! same score bits — through every request mode, with a fraction of
 //! the resident memory. Quantized snapshots must be deterministic.
 
+mod common;
+
+use common::{fresh_dir, ScratchDir};
 use groupsa_core::{DataContext, GroupMode, GroupSa, GroupSaConfig, Recommendation, ScoreAggregation};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
 use groupsa_data::Dataset;
 use groupsa_serve::protocol::Target;
 use groupsa_serve::FrozenModel;
 use groupsa_snapshot::Quant;
-use std::path::PathBuf;
 
 fn tiny_world(seed: u64) -> (Dataset, DataContext) {
     let dataset = generate(&SyntheticConfig {
@@ -36,15 +38,10 @@ fn tiny_world(seed: u64) -> (Dataset, DataContext) {
     (dataset, ctx)
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("groupsa-serve-snap-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Two independent builds of the same seeded world: one frozen in
-/// memory, one round-tripped through an f32 snapshot.
-fn memory_and_snapshot(seed: u64, tag: &str, quant: Quant) -> (FrozenModel, FrozenModel) {
+/// memory, one round-tripped through an f32 snapshot, plus the
+/// snapshot's directory (removed when the caller drops it).
+fn memory_and_snapshot(seed: u64, tag: &str, quant: Quant) -> (FrozenModel, FrozenModel, ScratchDir) {
     let (d, ctx) = tiny_world(seed);
     let memory = FrozenModel::freeze(GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items), ctx);
     let dir = fresh_dir(tag);
@@ -56,7 +53,7 @@ fn memory_and_snapshot(seed: u64, tag: &str, quant: Quant) -> (FrozenModel, Froz
         &dir,
     )
     .expect("open snapshot");
-    (memory, lazy)
+    (memory, lazy, dir)
 }
 
 fn assert_identical(a: &[Recommendation], b: &[Recommendation], what: &str) {
@@ -69,7 +66,7 @@ fn assert_identical(a: &[Recommendation], b: &[Recommendation], what: &str) {
 
 #[test]
 fn f32_snapshot_responses_are_bit_identical_to_memory() {
-    let (memory, lazy) = memory_and_snapshot(81, "golden-f32", Quant::F32);
+    let (memory, lazy, _dir) = memory_and_snapshot(81, "golden-f32", Quant::F32);
     assert_eq!(memory.table_backing(), "memory");
     assert_eq!(lazy.table_backing(), "snapshot");
     let num_users = memory.context().num_users;
@@ -98,7 +95,7 @@ fn f32_snapshot_responses_are_bit_identical_to_memory() {
 
 #[test]
 fn batched_shared_path_matches_through_a_snapshot() {
-    let (memory, lazy) = memory_and_snapshot(82, "golden-batch", Quant::F32);
+    let (memory, lazy, _dir) = memory_and_snapshot(82, "golden-batch", Quant::F32);
     let n = memory.context().num_users;
     let requests: Vec<(usize, usize)> = vec![(0, 5), (1, 10), (2, 3), (0, 7), (n, 5), (n - 1, 4)];
     let want = memory.recommend_users_shared(&requests);
@@ -142,7 +139,7 @@ fn serving_stub_context_serves_the_full_catalog_identically() {
 #[test]
 fn quantized_snapshots_serve_deterministically() {
     for quant in [Quant::F16, Quant::I8] {
-        let (_, lazy) = memory_and_snapshot(85, &format!("golden-{}", quant.name()), quant);
+        let (_, lazy, _dir) = memory_and_snapshot(85, &format!("golden-{}", quant.name()), quant);
         let a = lazy.recommend(Target::User { id: 3 }, 10, true, GroupMode::Voting).unwrap();
         let b = lazy.recommend(Target::User { id: 3 }, 10, true, GroupMode::Voting).unwrap();
         assert_identical(&a, &b, &format!("{} repeat read", quant.name()));
@@ -154,7 +151,7 @@ fn quantized_snapshots_serve_deterministically() {
 
 #[test]
 fn lazy_backing_cuts_resident_bytes() {
-    let (memory, lazy) = memory_and_snapshot(86, "golden-resident", Quant::F32);
+    let (memory, lazy, _dir) = memory_and_snapshot(86, "golden-resident", Quant::F32);
     assert!(
         lazy.resident_table_bytes() < memory.resident_table_bytes(),
         "snapshot backing should hold less than the full tables ({} vs {})",

@@ -1,7 +1,8 @@
 //! Request-lifecycle telemetry end to end: the zero-overhead contract
 //! (responses bit-identical with telemetry on vs off), the
-//! `MetricsDump` exposition page over real TCP, and the write-stage
-//! metering that only exists under sampling.
+//! `MetricsDump` exposition page over real TCP, the write-stage
+//! metering that only exists under sampling, the connection key on
+//! every record, and the `--obs-sample` flag's refusal of bad specs.
 
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
@@ -11,9 +12,10 @@ use groupsa_serve::metrics::EXPOSITION_METRICS;
 use groupsa_serve::protocol::{RecommendRequest, Request, Response, ServeMode, Target};
 use groupsa_serve::server::{self, ServerConfig};
 use groupsa_serve::FrozenModel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::Command;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -61,6 +63,19 @@ fn request(id: u64) -> RecommendRequest {
         exclude_seen: id % 2 == 0,
         mode: ServeMode::Voting,
         deadline_ms: 0,
+    }
+}
+
+/// [`request`] as a wire line.
+fn recommend_line(id: u64) -> Request {
+    let r = request(id);
+    Request::Recommend {
+        id: r.id,
+        target: r.target,
+        k: r.k,
+        exclude_seen: r.exclude_seen,
+        mode: r.mode,
+        deadline_ms: r.deadline_ms,
     }
 }
 
@@ -130,7 +145,7 @@ fn a_record_accounts_for_its_own_wait() {
             mode: ServeMode::Voting,
             deadline_ms: 0,
         };
-        engine.submit_streamed(req, tx.clone());
+        engine.submit_streamed(0, req, tx.clone());
     }
     drop(tx);
     // Close each record the moment its reply arrives, as a connection
@@ -208,18 +223,7 @@ fn metrics_dump_over_tcp_parses_and_names_every_contract_metric() {
     let (mut stream, mut reader) = connect(addr);
     let n = 16u64;
     for id in 0..n {
-        let r = request(id);
-        send_line(
-            &mut stream,
-            &Request::Recommend {
-                id: r.id,
-                target: r.target,
-                k: r.k,
-                exclude_seen: r.exclude_seen,
-                mode: r.mode,
-                deadline_ms: r.deadline_ms,
-            },
-        );
+        send_line(&mut stream, &recommend_line(id));
     }
     for _ in 0..n {
         assert!(matches!(read_response(&mut reader), Response::Recommend { .. }));
@@ -303,4 +307,75 @@ fn metrics_dump_works_with_telemetry_off() {
     assert_eq!(parsed.value("groupsa_obs_sample_every"), Some(0.0));
     assert_eq!(parsed.value("groupsa_obs_ring_pushed_total"), Some(0.0));
     engine.shutdown();
+}
+
+/// Records tell connections apart: clients number their ids from 0, so
+/// two connections sending ids `0..n` under 1/1 sampling must leave
+/// `2n` distinct `(conn, id)` pairs from exactly two connections.
+#[test]
+fn records_carry_their_connection_key() {
+    let engine = Engine::start(
+        frozen_world(39),
+        EngineConfig {
+            telemetry: Some(TelemetryConfig {
+                sample_every: 1,
+                slow_us: u64::MAX,
+                ring_capacity: 512,
+            }),
+            ..EngineConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || server::run_with(listener, engine, ServerConfig::default()))
+    };
+    let n = 12u64;
+    for _ in 0..2 {
+        let (mut stream, mut reader) = connect(addr);
+        for id in 0..n {
+            send_line(&mut stream, &recommend_line(id));
+        }
+        for _ in 0..n {
+            assert!(matches!(read_response(&mut reader), Response::Recommend { .. }));
+        }
+    }
+    let (mut stream, mut reader) = connect(addr);
+    send_line(&mut stream, &Request::Shutdown { id: 0 });
+    assert!(matches!(read_response(&mut reader), Response::Bye { id: 0 }));
+    server.join().expect("server thread").expect("server run");
+
+    let records = engine.telemetry().records();
+    assert_eq!(records.len(), 2 * n as usize, "1/1 sampling filed one record per request");
+    let pairs: BTreeSet<(u64, u64)> = records.iter().map(|r| (r.conn, r.id)).collect();
+    assert_eq!(pairs.len(), 2 * n as usize, "(conn, id) names each request once: {pairs:?}");
+    let conns: BTreeSet<u64> = records.iter().map(|r| r.conn).collect();
+    assert_eq!(conns.len(), 2, "{conns:?}");
+    assert!(!conns.contains(&0), "0 is reserved for in-process submissions");
+}
+
+/// `groupsa-serve --obs-sample` takes `1/N` or `N` with N >= 1 and
+/// refuses anything else with a usage error and a non-zero exit,
+/// instead of starting a server with telemetry silently off. An
+/// unknown `--dataset` makes every run exit before serving, so a
+/// spec that wrongly parses fails on the dataset instead of hanging.
+#[test]
+fn obs_sample_flag_refuses_a_spec_it_cannot_parse() {
+    let serve = |spec: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_groupsa-serve"))
+            .args(["--obs-sample", spec, "--dataset", "none"])
+            .output()
+            .expect("run groupsa-serve");
+        assert!(!out.status.success(), "`{spec}` must not start a server");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    for bad in ["2/3", "off", "0", "1/0"] {
+        let stderr = serve(bad);
+        assert!(stderr.contains("--obs-sample") && stderr.contains("usage:"), "`{bad}`: {stderr}");
+    }
+    for good in ["1/4", "16"] {
+        let stderr = serve(good);
+        assert!(!stderr.contains("--obs-sample") && stderr.contains("--dataset"), "`{good}`: {stderr}");
+    }
 }

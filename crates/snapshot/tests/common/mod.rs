@@ -3,19 +3,45 @@
 
 use groupsa_snapshot::{Quant, SnapshotMeta, SnapshotWriter};
 use groupsa_tensor::Matrix;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub const NUM_USERS: usize = 23;
 pub const NUM_ITEMS: usize = 17;
 pub const NUM_GROUPS: usize = 6;
 pub const DIM: usize = 8;
 
-/// A unique scratch directory per test; removed and recreated so
-/// reruns start clean.
-pub fn fresh_dir(tag: &str) -> PathBuf {
+/// A scratch directory under the temp dir, removed when dropped —
+/// unless the test is panicking, so a failure leaves its files for
+/// inspection.
+pub struct ScratchDir(PathBuf);
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+/// A unique scratch directory per test (not yet created), emptied
+/// first so reruns start clean.
+pub fn fresh_dir(tag: &str) -> ScratchDir {
     let dir = std::env::temp_dir().join(format!("groupsa-snapshot-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    ScratchDir(dir)
 }
 
 /// Deterministic pseudo-table value: varied sign/magnitude, no RNG so

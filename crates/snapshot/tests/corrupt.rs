@@ -9,7 +9,7 @@ use common::*;
 use groupsa_snapshot::{Quant, Snapshot, SnapshotError, MANIFEST_NAME};
 use std::path::Path;
 
-fn written(tag: &str) -> std::path::PathBuf {
+fn written(tag: &str) -> ScratchDir {
     let dir = fresh_dir(tag);
     write_fixture(&dir, 2, Quant::F32);
     dir

@@ -43,6 +43,5 @@ fn fresh_writes_match_the_committed_golden_tree() {
         snap.verify().expect("the committed tree checksums clean");
         assert_eq!(snap.meta().num_users, NUM_USERS);
         assert_eq!(snap.meta().dim, DIM);
-        let _ = std::fs::remove_dir_all(&fresh);
     }
 }

@@ -28,7 +28,18 @@ RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspa
 # typed rejection of every corruption family, and the byte comparison
 # against the committed results/golden_snapshot/ tree
 # (crates/snapshot/tests/; DESIGN.md §13 has the re-versioning policy).
-cargo test -q --offline --workspace
+# It runs against a fresh TMPDIR, and every `groupsa-*` scratch file or
+# directory a test makes there must be gone when the suite ends.
+test_tmp="$(mktemp -d)"
+TMPDIR="$test_tmp" cargo test -q --offline --workspace
+leftovers="$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'groupsa-*')"
+if [ -n "$leftovers" ]; then
+    echo "tier1: tests left scratch files behind in $test_tmp:" >&2
+    echo "$leftovers" >&2
+    exit 1
+fi
+rm -rf "$test_tmp"
+echo "tier1: the test suite removed every scratch file it made"
 
 # The serve benchmark (servebench/, its own cargo package, gated
 # separately under BENCHMARK.json) builds against core and serve by

@@ -54,16 +54,29 @@ fn train(dataset: &Dataset, split: &Split, cfg: GroupSaConfig) -> (GroupSa, Data
     (model, ctx)
 }
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("groupsa-determinism-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A checkpoint path in the temp dir, removed when dropped.
+struct TempFile(std::path::PathBuf);
+
+impl AsRef<std::path::Path> for TempFile {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn temp_path(name: &str) -> TempFile {
+    TempFile(std::env::temp_dir().join(format!("groupsa-determinism-{}-{name}", std::process::id())))
 }
 
 #[test]
 fn same_seed_training_runs_write_byte_identical_checkpoints() {
     let (dataset, split) = tiny_world(9);
-    let run = |path: &std::path::Path| {
+    let run = |path: &TempFile| {
         let (model, _ctx) = train(&dataset, &split, quick_cfg(0xD5EE_D));
         model.save(path, dataset.num_users, dataset.num_items).unwrap();
         std::fs::read(path).unwrap()
@@ -83,7 +96,7 @@ fn different_seeds_write_different_checkpoints() {
         let (model, _ctx) = train(&dataset, &split, quick_cfg(seed));
         let path = temp_path(name);
         model.save(&path, dataset.num_users, dataset.num_items).unwrap();
-        std::fs::read(path).unwrap()
+        std::fs::read(&path).unwrap()
     };
     assert_ne!(bytes(1, "seed_1.json"), bytes(2, "seed_2.json"));
 }
