@@ -7,9 +7,9 @@
 //! * **Full run** (default): serve-realistic shapes, written to
 //!   `BENCH_kernels.json` at the repo root — the committed baseline
 //!   the gate compares against.
-//! * **`--check`**: fast smoke shapes, written to
-//!   `results/kernel_bench_smoke.json`; proves every kernel still runs
-//!   and produces sane timings. This is the tier-1 path.
+//! * **`--check`**: fast smoke shapes, printed and not written
+//!   anywhere; proves every kernel still runs and produces sane
+//!   timings. This is the tier-1 path.
 //! * **`--gate <baseline.json>`**: re-measures the full shapes and
 //!   fails (exit 1) if any kernel regressed more than
 //!   [`GATE_RATIO`]× in ns/op against the baseline file.
@@ -273,7 +273,19 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
     let sparse_rows = if p.smoke { 32 } else { 256 };
     let hidden = mat(sparse_rows, 32, 0.53).map(ops::relu);
     let (members, feat, width) = if p.smoke { (4, 24, 8) } else { (4, 96, 32) };
+    // The user tower's latent branch: every row is `[h | xᵢ | h⊙xᵢ]`
+    // for one post-ReLU fusion output `h`, so two of its three column
+    // blocks carry the same exact zeros in every row.
+    let d = feat / 3;
+    let h = mat(1, d, 0.83).map(ops::relu);
+    let x = mat(sparse_rows, d, 0.89);
+    let latent = Matrix::from_fn(sparse_rows, feat, |r, c| match c / d {
+        0 => h[(0, c)],
+        1 => x[(r, c - d)],
+        _ => h[(0, c - 2 * d)] * x[(r, c - 2 * d)],
+    });
     let matmul_shapes = [
+        ("matmul_latent_layer1", latent, mat(feat, width, 0.97)),
         ("matmul_matvec_relu", hidden, mat(32, 1, 0.61)),
         ("matmul_gamma_layer1", mat(members, feat, 0.67), mat(feat, width, 0.71)),
         ("matmul_group_tower_row", mat(1, feat, 0.73), mat(feat, width, 0.79)),
@@ -607,21 +619,13 @@ fn run() -> Result<(), String> {
     let records = measure(profile);
     sanity(&records)?;
     summarize(&records);
-    let report = KernelReport {
-        schema_version: SCHEMA_VERSION,
-        mode: if check { "check".into() } else { "full".into() },
-        kernels: records,
-    };
     if check {
-        let path = groupsa_bench::output::save_json("kernel_bench_smoke", &report)
-            .map_err(|e| e.to_string())?;
-        println!("[saved {}]", path.display());
-    } else {
-        let path = "BENCH_kernels.json";
-        std::fs::write(path, groupsa_json::to_string_pretty(&report))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        println!("[saved {path}]");
+        return Ok(());
     }
+    let report = KernelReport { schema_version: SCHEMA_VERSION, mode: "full".into(), kernels: records };
+    let path = "BENCH_kernels.json";
+    std::fs::write(path, groupsa_json::to_string_pretty(&report)).map_err(|e| format!("write {path}: {e}"))?;
+    println!("[saved {path}]");
     Ok(())
 }
 

@@ -298,7 +298,14 @@ impl Matrix {
     /// * `n ≥ 2`: register-resident output tiles 32, then 8, then 1
     ///   column wide. A tile's accumulators stay in registers across
     ///   the whole k loop, so the output row is stored once, not once
-    ///   per k-step.
+    ///   per k-step. The AVX-512F build makes each tile four rows tall,
+    ///   adding every product, zero coefficients included, when that
+    ///   is exact: (a) the block's 4×k coefficients hold no zero of
+    ///   either sign, or (b) every entry of `other` is finite, so each
+    ///   skipped product is `±0.0` and adding it to a `+0.0`-seeded
+    ///   accumulator changes nothing (the argument below). Any other
+    ///   block, the `m mod 4` rows left over and every other build run
+    ///   one row per tile, with the skip.
     /// * `n == 1` (the matvec of every output layer): 8 rows at a time
     ///   as independent chains, with the zero skip written as a select
     ///   that adds `+0.0` instead of a branch. An accumulator that
@@ -307,12 +314,15 @@ impl Matrix {
     ///   the discarded product never reaches it even when `b` is
     ///   non-finite.
     ///
-    /// On x86-64 hosts with AVX2 (detected once at run time) the same
-    /// kernels run as an AVX2 build; mul-then-add is kept (no fused
-    /// multiply-add, which would round differently), so both builds
-    /// agree bit for bit. The equivalence tests in
-    /// `tests/kernel_equivalence.rs` pin this across every tile
-    /// boundary, sparse rows and non-finite inputs.
+    /// On x86-64 the `n ≥ 2` tiles run as an AVX-512F build when the
+    /// CPU has it. Otherwise, and always for the matvec (which measured
+    /// slower compiled for AVX-512F), the kernels run as an AVX2 build
+    /// when the CPU has that, else portably. Each feature is detected
+    /// once at run time. Mul-then-add is kept (no fused multiply-add,
+    /// which would round differently), so every build agrees bit for
+    /// bit. The equivalence tests in
+    /// `tests/kernel_equivalence.rs` pin this across every tile and
+    /// row-block boundary, sparse rows and non-finite inputs.
     ///
     /// # Panics
     /// If `self.cols != other.rows`.
@@ -327,6 +337,15 @@ impl Matrix {
         if k == 0 || n == 0 {
             return out;
         }
+        // The `n == 1` matvec stays on the AVX2 build: compiled for
+        // AVX-512F it ran 1.3-1.6x slower at 256x32*32x1 (two-core Xeon).
+        #[cfg(target_arch = "x86_64")]
+        if n > 1 && std::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU was just detected to support AVX-512F, the
+            // only target feature `matmul_kernel_avx512` enables.
+            unsafe { matmul_kernel_avx512(&self.data, &other.data, k, n, &mut out.data) };
+            return out;
+        }
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU was just detected to support AVX2, the only
@@ -334,7 +353,7 @@ impl Matrix {
             unsafe { matmul_kernel_avx2(&self.data, &other.data, k, n, &mut out.data) };
             return out;
         }
-        matmul_kernel(&self.data, &other.data, k, n, &mut out.data);
+        matmul_kernel::<1>(&self.data, &other.data, k, n, &mut out.data);
         out
     }
 
@@ -657,40 +676,51 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Widest output tile of [`Matrix::matmul`]: 32 accumulators, four
-/// AVX2 or eight SSE registers.
+/// AVX2 or eight SSE registers per row.
 const TILE_WIDE: usize = 32;
 /// Narrow output tile for the columns a wide tile leaves over.
 const TILE_NARROW: usize = 8;
+/// Output rows per register tile in the AVX-512 build: four rows of a
+/// wide tile hold eight of its 32 vector registers.
+const TILE_ROWS_AVX512: usize = 4;
 /// Rows scored side by side by the `n == 1` matvec.
 const MATVEC_ROWS: usize = 8;
 
 /// `out = a · b` for row-major `a` (`m×k`) and `b` (`k×n`), with
-/// `k, n ≥ 1` and `out` zeroed; see [`Matrix::matmul`].
+/// `k, n ≥ 1` and `out` zeroed; see [`Matrix::matmul`]. For `R > 1`,
+/// each block of `R` rows runs as `R`-row tiles when adding every
+/// product is exact, and as single-row tiles otherwise; the `m mod R`
+/// rows left over always run as single-row tiles.
 #[inline(always)]
-fn matmul_kernel(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+fn matmul_kernel<const R: usize>(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     if n == 1 {
         matvec(a, b, k, out);
         return;
     }
-    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        let mut j = 0;
-        while j + TILE_WIDE <= n {
-            tile::<TILE_WIDE>(a_row, b, n, j, &mut out_row[j..j + TILE_WIDE]);
-            j += TILE_WIDE;
+    let mut blocked = 0;
+    if R > 1 {
+        // Whether `b` is all finite, worked out at most once, and only
+        // when a block holds a zero coefficient.
+        let mut b_finite = None;
+        for (block, out_block) in a.chunks_exact(k * R).zip(out.chunks_exact_mut(n * R)) {
+            if !has_zero(block) || *b_finite.get_or_insert_with(|| all_finite(b)) {
+                block_tiles::<R>(block, b, k, n, out_block);
+            } else {
+                for (a_row, out_row) in block.chunks_exact(k).zip(out_block.chunks_exact_mut(n)) {
+                    row_tiles(a_row, b, n, out_row);
+                }
+            }
+            blocked += R;
         }
-        while j + TILE_NARROW <= n {
-            tile::<TILE_NARROW>(a_row, b, n, j, &mut out_row[j..j + TILE_NARROW]);
-            j += TILE_NARROW;
-        }
-        while j < n {
-            tile::<1>(a_row, b, n, j, &mut out_row[j..j + 1]);
-            j += 1;
-        }
+    }
+    for (a_row, out_row) in a[blocked * k..].chunks_exact(k).zip(out[blocked * n..].chunks_exact_mut(n)) {
+        row_tiles(a_row, b, n, out_row);
     }
 }
 
-/// [`matmul_kernel`] compiled for AVX2. Only mul and add are used (no
-/// FMA), so its results equal the portable build's bit for bit.
+/// [`matmul_kernel`] compiled for AVX2, one row per tile. Only mul and
+/// add are used (no FMA), so its results equal the portable build's
+/// bit for bit.
 ///
 /// # Safety
 /// Calling it is `unsafe` outside AVX2 code: the caller must have
@@ -698,7 +728,52 @@ fn matmul_kernel(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn matmul_kernel_avx2(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    matmul_kernel(a, b, k, n, out);
+    matmul_kernel::<1>(a, b, k, n, out);
+}
+
+/// [`matmul_kernel`] compiled for AVX-512F, [`TILE_ROWS_AVX512`] rows
+/// per tile. Only mul and add are used (no FMA), so its results equal
+/// the portable build's bit for bit.
+///
+/// # Safety
+/// Calling it is `unsafe` outside AVX-512F code: the caller must have
+/// checked that the running CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn matmul_kernel_avx512(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    matmul_kernel::<TILE_ROWS_AVX512>(a, b, k, n, out);
+}
+
+/// Whether any entry is an exact zero of either sign. A fold, not a
+/// short-circuiting `any`, so that it compiles to a vector scan.
+#[inline(always)]
+fn has_zero(xs: &[f32]) -> bool {
+    xs.iter().fold(false, |z, &x| z | (x == 0.0)) // lint: allow(float-eq)
+}
+
+/// Whether every entry is finite: its largest magnitude bit pattern
+/// lies below infinity's (every NaN pattern lies above it).
+#[inline(always)]
+fn all_finite(xs: &[f32]) -> bool {
+    xs.iter().fold(0, |m, &x| m.max(x.to_bits() & 0x7fff_ffff)) < f32::INFINITY.to_bits()
+}
+
+/// One output row as tiles 32, then 8, then 1 column wide.
+#[inline(always)]
+fn row_tiles(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+    let mut j = 0;
+    while j + TILE_WIDE <= n {
+        tile::<TILE_WIDE>(a_row, b, n, j, &mut out_row[j..j + TILE_WIDE]);
+        j += TILE_WIDE;
+    }
+    while j + TILE_NARROW <= n {
+        tile::<TILE_NARROW>(a_row, b, n, j, &mut out_row[j..j + TILE_NARROW]);
+        j += TILE_NARROW;
+    }
+    while j < n {
+        tile::<1>(a_row, b, n, j, &mut out_row[j..j + 1]);
+        j += 1;
+    }
 }
 
 /// Columns `j..j + W` of one output row, accumulated in registers over
@@ -715,6 +790,53 @@ fn tile<const W: usize>(a_row: &[f32], b: &[f32], n: usize, j: usize, out: &mut 
         }
     }
     out.copy_from_slice(&acc);
+}
+
+/// An `R`-row block of output as tiles 32, then 8, then 1 column wide.
+#[inline(always)]
+fn block_tiles<const R: usize>(block: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let mut j = 0;
+    while j + TILE_WIDE <= n {
+        block_tile::<R, TILE_WIDE>(block, b, k, n, j, out);
+        j += TILE_WIDE;
+    }
+    while j + TILE_NARROW <= n {
+        block_tile::<R, TILE_NARROW>(block, b, k, n, j, out);
+        j += TILE_NARROW;
+    }
+    while j < n {
+        block_tile::<R, 1>(block, b, k, n, j, out);
+        j += 1;
+    }
+}
+
+/// Columns `j..j + W` of `R` output rows, accumulated in registers
+/// over the whole k loop in the naive order. Every product is added,
+/// zero coefficients included: [`matmul_kernel`] runs a block here
+/// only when skipping them could not change a bit.
+#[inline(always)]
+fn block_tile<const R: usize, const W: usize>(
+    block: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &block[r * k..][..k]);
+    let mut acc = [[0.0f32; W]; R];
+    for (p, b_row) in (0..k).zip(b.chunks_exact(n)) {
+        let v: &[f32; W] = b_row[j..j + W].try_into().expect("the range is W long");
+        for (acc_row, row) in acc.iter_mut().zip(&rows) {
+            let a = row[p];
+            for c in 0..W {
+                acc_row[c] += a * v[c];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + j..r * n + j + W].copy_from_slice(acc_row);
+    }
 }
 
 /// `out = a · b` for a `k×1` column `b`: up to [`MATVEC_ROWS`] rows per
@@ -877,26 +999,56 @@ mod tests {
         }
     }
 
+    /// Asserts that `kernel` agrees with the portable build bit for bit
+    /// on shapes crossing every tile and row-block boundary, with zeros
+    /// of either sign in `a` and, in one pass of two, `±inf`/NaN in `b`.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_agrees_with_portable(build: &str, kernel: impl Fn(&[f32], &[f32], usize, usize, &mut [f32])) {
+        let shapes = [
+            (1, 96, 32),
+            (4, 96, 32),
+            (256, 96, 32),
+            (256, 32, 1),
+            (13, 17, 1),
+            (5, 33, 65),
+            (9, 7, 40),
+            (8, 11, 33),
+            (2, 3, 9),
+        ];
+        for (i, &(m, k, n)) in shapes.iter().enumerate() {
+            for poison in [false, true] {
+                let a = sparse_fill(m * k, i as u64, false);
+                let b = sparse_fill(k * n, i as u64 + 100, poison);
+                let mut portable = vec![0.0; m * n];
+                let mut built = vec![0.0; m * n];
+                matmul_kernel::<1>(&a, &b, k, n, &mut portable);
+                kernel(&a, &b, k, n, &mut built);
+                for (j, (x, y)) in portable.iter().zip(&built).enumerate() {
+                    let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+                    assert!(same, "{m}x{k}*{k}x{n} (poison {poison}) element {j}: portable {x:?} vs {build} {y:?}");
+                }
+            }
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn portable_and_avx2_kernels_agree_bit_for_bit() {
         if !std::is_x86_feature_detected!("avx2") {
             return;
         }
-        let shapes = [(1, 96, 32), (4, 96, 32), (256, 32, 1), (13, 17, 1), (5, 33, 65), (9, 7, 40), (2, 3, 9)];
-        for (i, &(m, k, n)) in shapes.iter().enumerate() {
-            let a = sparse_fill(m * k, i as u64, false);
-            let b = sparse_fill(k * n, i as u64 + 100, true);
-            let mut portable = vec![0.0; m * n];
-            let mut avx2 = vec![0.0; m * n];
-            matmul_kernel(&a, &b, k, n, &mut portable);
-            // SAFETY: AVX2 support was detected above.
-            unsafe { matmul_kernel_avx2(&a, &b, k, n, &mut avx2) };
-            for (j, (x, y)) in portable.iter().zip(&avx2).enumerate() {
-                let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
-                assert!(same, "{m}x{k}*{k}x{n} element {j}: portable {x:?} vs avx2 {y:?}");
-            }
+        // SAFETY: AVX2 support was detected above.
+        assert_agrees_with_portable("avx2", |a, b, k, n, out| unsafe { matmul_kernel_avx2(a, b, k, n, out) });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_and_avx512_kernels_agree_bit_for_bit() {
+        if !std::is_x86_feature_detected!("avx512f") {
+            return;
         }
+        // SAFETY: AVX-512F support was detected above.
+        assert_agrees_with_portable("avx512", |a, b, k, n, out| unsafe { matmul_kernel_avx512(a, b, k, n, out) });
     }
 
     #[test]

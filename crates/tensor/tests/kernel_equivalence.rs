@@ -275,3 +275,77 @@ fn matvec_zero_coefficients_keep_nonfinite_b_out() {
         }
     }
 }
+
+/// Row counts around the 4-row register blocks of the AVX-512 build:
+/// below one block, exactly one or two, one short of or past a block
+/// boundary (so the `m mod 4` rows run as single-row tiles), and the
+/// serve towers' 256-row chunk.
+const BLOCK_MS: &[usize] = &[3, 4, 5, 7, 8, 9, 256];
+/// Column counts crossing the tile widths inside each block, plus the
+/// `n == 1` matvec.
+const BLOCK_NS: &[usize] = &[1, 8, 31, 32, 33, 40];
+
+/// `filled` with every exact zero replaced, so no block can skip.
+fn zero_free(rows: usize, cols: usize, seed: u64) -> Matrix {
+    filled(rows, cols, seed).map(|x| if x == 0.0 { 0.75 } else { x })
+}
+
+/// `filled` with `±inf` and NaN planted in about one entry in seven.
+fn poisoned(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = filled(rows, cols, seed);
+    for (i, x) in m.as_mut_slice().iter_mut().enumerate() {
+        if (i * 5 + seed as usize).is_multiple_of(7) {
+            *x = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][i % 3];
+        }
+    }
+    m
+}
+
+#[test]
+fn row_blocks_match_naive_on_every_exactness_path() {
+    for &m in BLOCK_MS {
+        for &n in BLOCK_NS {
+            for &k in &[1usize, 7, 96] {
+                let seed = (m * 1009 + n * 31 + k) as u64;
+                // No zero coefficient, non-finite `b`: blocks run dense
+                // because the skip could never fire.
+                let (a, b) = (zero_free(m, k, seed), poisoned(k, n, seed + 1));
+                assert_bits_equal(&a.matmul(&b), &a.matmul_naive(&b), &format!("zero-free {m}x{k}·{k}x{n}"));
+                // Zero coefficients, finite `b`: blocks run dense
+                // because each skipped product is a zero.
+                let (a, b) = (filled(m, k, seed + 2), filled(k, n, seed + 3));
+                assert_bits_equal(&a.matmul(&b), &a.matmul_naive(&b), &format!("zeros, finite {m}x{k}·{k}x{n}"));
+                // Zero coefficients, non-finite `b`: blocks holding a
+                // zero fall back to single-row tiles that skip it.
+                let (a, b) = (filled(m, k, seed + 4), poisoned(k, n, seed + 5));
+                assert_bits_equal(&a.matmul(&b), &a.matmul_naive(&b), &format!("zeros, poisoned {m}x{k}·{k}x{n}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn one_zero_in_a_row_block_keeps_a_poisoned_b_row_out() {
+    // A 4-row block whose only zero coefficient (of either sign) faces
+    // the one k-row of `b` that holds ±inf and NaN. The naive skip never
+    // forms those products, so the output is finite; a block that added
+    // them would read NaN.
+    let k = 12;
+    let zero_col = 5;
+    for zero in [0.0f32, -0.0] {
+        for n in [8usize, 32, 33] {
+            let mut a = zero_free(4, k, n as u64);
+            a[(2, zero_col)] = zero;
+            let mut b = filled(k, n, n as u64 + 1);
+            let naive = a.matmul_naive(&b);
+            assert_bits_equal(&a.matmul(&b), &naive, &format!("zero {zero:?} against a finite b, n={n}"));
+
+            for (c, x) in b.row_mut(zero_col).iter_mut().enumerate() {
+                *x = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][c % 3];
+            }
+            let naive = a.matmul_naive(&b);
+            assert!(naive.row(2).iter().all(|x| x.is_finite()), "the skip keeps row {zero_col} of b out");
+            assert_bits_equal(&a.matmul(&b), &naive, &format!("zero {zero:?} against a poisoned b, n={n}"));
+        }
+    }
+}

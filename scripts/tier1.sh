@@ -7,6 +7,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Tier 1 must leave the working tree as it found it: nothing it builds,
+# tests or runs may rewrite a tracked file or leave an untracked one
+# outside the ignored paths. The status is compared again at the end
+# (outside a git checkout there is no status to compare).
+tree_status() { git status --porcelain 2>/dev/null || echo "not a git checkout"; }
+status_before="$(tree_status)"
+
 # Optional perf-regression gate: `tier1.sh --bench-gate` additionally
 # re-times every kernel in BENCH_kernels.json and fails on a >25%
 # ns/op regression (see DESIGN.md §12). Off by default because wall
@@ -65,12 +72,12 @@ fi
 echo "tier1: groupsa-lint matches the committed report (0 findings)"
 
 # Kernel bench smoke: every microbench must still run (shapes valid,
-# sanity assertions inside the harness pass) on abbreviated profiles;
-# results land in results/kernel_bench_smoke.json. Numbers from this
-# mode are NOT comparable to BENCH_kernels.json — it exists to keep
-# the bench binary from rotting, not to measure.
+# sanity assertions inside the harness pass) on abbreviated profiles.
+# The run prints its rows and writes no file: its numbers are NOT
+# comparable to BENCH_kernels.json — it exists to keep the bench
+# binary from rotting, not to measure.
 ./target/release/kernel_bench --check >/dev/null
-echo "tier1: kernel bench smoke run passed (results/kernel_bench_smoke.json)"
+echo "tier1: kernel bench smoke run passed"
 
 # Full gate only on request (--bench-gate): re-times at the full
 # profile and compares against the committed BENCH_kernels.json
@@ -192,3 +199,12 @@ if [ "$digest1" != "$digest_traced" ]; then
 fi
 ./target/release/trace_check "$trace_dir/train_trace.jsonl" run span epoch window metrics
 echo "tier1: traced training digest matches untraced; trace is schema-valid"
+
+status_after="$(tree_status)"
+if [ "$status_after" != "$status_before" ]; then
+    echo "tier1: the run changed the working tree (git status --porcelain):" >&2
+    echo "  before: ${status_before:-<clean>}" >&2
+    echo "  after:  ${status_after:-<clean>}" >&2
+    exit 1
+fi
+echo "tier1: the working tree is as tier 1 found it"
