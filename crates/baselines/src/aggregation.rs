@@ -3,12 +3,13 @@
 //!
 //! Exactly as the paper evaluates them: "we first run GroupSA to
 //! predict each member's personal preferences, and then apply the
-//! following static aggregation strategies" — so these baselines wrap
-//! a *trained* [`GroupSa`] and re-combine its per-member user-task
-//! scores with a predefined rule instead of the learned voting scheme.
+//! following static aggregation strategies" — so each baseline is a
+//! *trained* [`groupsa_core::GroupSa`]'s fast-mode scorer
+//! ([`groupsa_core::GroupSa::fast_group_scorer`]), re-combining its
+//! per-member user-task scores with a predefined rule instead of the
+//! learned voting scheme.
 
-use groupsa_core::{DataContext, GroupSa, ScoreAggregation};
-use groupsa_eval::Scorer;
+use groupsa_core::ScoreAggregation;
 
 /// All three strategies, in the paper's table order.
 pub const ALL_STRATEGIES: [ScoreAggregation; 3] = [
@@ -17,82 +18,12 @@ pub const ALL_STRATEGIES: [ScoreAggregation; 3] = [
     ScoreAggregation::MaxSatisfaction,
 ];
 
-/// A group scorer applying `strategy` over the wrapped model's
-/// per-member predictions.
-pub struct StaticAggregation<'a> {
-    model: &'a GroupSa,
-    ctx: &'a DataContext,
-    strategy: ScoreAggregation,
-}
-
-impl<'a> StaticAggregation<'a> {
-    /// Wraps a trained GroupSA model.
-    pub fn new(model: &'a GroupSa, ctx: &'a DataContext, strategy: ScoreAggregation) -> Self {
-        Self { model, ctx, strategy }
-    }
-
-    /// The paper's label for this baseline (`Group+avg` etc.).
-    pub fn label(&self) -> &'static str {
-        self.strategy.label()
-    }
-}
-
-impl Scorer for StaticAggregation<'_> {
-    fn score(&self, group: usize, items: &[usize]) -> Vec<f32> {
-        self.model.fast_group_scores(self.ctx, group, items, self.strategy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use groupsa_core::GroupSaConfig;
-    use groupsa_data::synthetic::{generate, SyntheticConfig};
-
-    fn world() -> (groupsa_data::Dataset, DataContext) {
-        let d = generate(&SyntheticConfig {
-            name: "agg-test".into(),
-            seed: 2,
-            num_users: 50,
-            num_items: 30,
-            num_groups: 15,
-            num_topics: 3,
-            latent_dim: 4,
-            avg_items_per_user: 6.0,
-            avg_friends_per_user: 4.0,
-            avg_items_per_group: 1.3,
-            mean_group_size: 3.0,
-            zipf_exponent: 0.8,
-            homophily: 0.8,
-            social_influence: 0.3,
-            expertise_sharpness: 2.0,
-            taste_temperature: 0.3,
-            consensus_blend: 0.5,
-            connectedness_boost: 1.0,
-        });
-        let ctx = DataContext::from_train_view(&d, &GroupSaConfig::tiny());
-        (d, ctx)
-    }
 
     #[test]
-    fn wrapper_matches_fast_mode() {
-        let (d, ctx) = world();
-        let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
-        for strategy in ALL_STRATEGIES {
-            let agg = StaticAggregation::new(&model, &ctx, strategy);
-            let items = [0usize, 1, 2];
-            assert_eq!(agg.score(0, &items), model.fast_group_scores(&ctx, 0, &items, strategy));
-        }
-    }
-
-    #[test]
-    fn labels_are_the_papers() {
-        let (d, ctx) = world();
-        let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
-        let labels: Vec<_> = ALL_STRATEGIES
-            .iter()
-            .map(|&s| StaticAggregation::new(&model, &ctx, s).label())
-            .collect();
-        assert_eq!(labels, vec!["Group+avg", "Group+lm", "Group+ms"]);
+    fn strategies_are_in_table_order() {
+        assert_eq!(ALL_STRATEGIES.map(ScoreAggregation::label), ["Group+avg", "Group+lm", "Group+ms"]);
     }
 }

@@ -11,15 +11,14 @@
 //! applies to its own predictor, Eq. 20/22). Training is two-stage
 //! (user first, then group) instead of alternating mini-batches.
 
+use crate::common::{bpr_epoch, concat_tower};
 use crate::config::BaselineConfig;
-use groupsa_data::sampling::bpr_epoch;
 use groupsa_eval::Scorer;
 use groupsa_graph::Bipartite;
-use groupsa_nn::loss::bpr_one_vs_rest;
-use groupsa_nn::optim::{Adam, Optimizer};
+use groupsa_nn::optim::Adam;
 use groupsa_nn::{Embedding, Init, Mlp, ParamStore, VanillaAttention};
 use groupsa_tensor::rng::{seeded, StdRng};
-use groupsa_tensor::{Forward, Graph, NodeId};
+use groupsa_tensor::{Eager, Forward};
 
 /// The AGREE model. Group `t`'s representation for item `v` is
 /// `Σᵢ α(v, uᵢ)·emb(uᵢ) + q_t` with `α` a two-layer attention over
@@ -27,6 +26,13 @@ use groupsa_tensor::{Forward, Graph, NodeId};
 pub struct Agree {
     cfg: BaselineConfig,
     store: ParamStore,
+    net: AgreeNet,
+    rng: StdRng,
+}
+
+/// AGREE's layers and group memberships; the parameters live in the
+/// owning [`Agree`]'s store.
+struct AgreeNet {
     emb_user: Embedding,
     emb_item: Embedding,
     /// Learned per-group preference embedding `q_t`.
@@ -34,7 +40,41 @@ pub struct Agree {
     att: VanillaAttention,
     pred: Mlp,
     members: Vec<Vec<usize>>,
-    rng: StdRng,
+}
+
+impl AgreeNet {
+    fn user_scores<'p, F: Forward<'p>>(
+        &self,
+        f: &mut F,
+        store: &'p ParamStore,
+        user: usize,
+        items: &[usize],
+    ) -> F::Value {
+        concat_tower(f, store, (&self.emb_user, &self.emb_item, &self.pred), user, items)
+    }
+
+    fn group_scores<'p, F: Forward<'p>>(
+        &self,
+        f: &mut F,
+        store: &'p ParamStore,
+        group: usize,
+        items: &[usize],
+    ) -> F::Value {
+        let members = &self.members[group];
+        assert!(!members.is_empty(), "group {group} has no members");
+        let eu = self.emb_user.lookup(f, store, members); // l×d
+        let pref = self.emb_group_pref.lookup(f, store, &[group]); // 1×d
+        let ev_all = self.emb_item.lookup(f, store, items); // n×d
+        f.stack_rows(items.len(), |f, idx| {
+            let ev = f.slice_rows(&ev_all, idx, 1);
+            let ev_rep = f.repeat_rows(&ev, members.len());
+            let rows = f.concat_cols(&eu, &ev_rep); // [emb(uᵢ) ⊕ emb(v)]
+            let agg = self.att.aggregate(f, store, &rows, &eu); // 1×d
+            let rep = f.add(&agg, &pref);
+            let cat = f.concat_cols(&rep, &ev);
+            self.pred.forward(f, store, &cat)
+        })
+    }
 }
 
 impl Agree {
@@ -49,45 +89,14 @@ impl Agree {
         let emb_group_pref = Embedding::new(&mut store, &mut rng, "agree_gpref", members.len().max(1), d, Init::Glorot);
         let att = VanillaAttention::new(&mut store, &mut rng, "agree_att", 2 * d, d);
         let pred = Mlp::new(&mut store, &mut rng, "agree_pred", &[2 * d, d, 1], false);
+        let net = AgreeNet { emb_user, emb_item, emb_group_pref, att, pred, members };
         let rng = seeded(cfg.seed.wrapping_add(17));
-        Self { cfg, store, emb_user, emb_item, emb_group_pref, att, pred, members, rng }
-    }
-
-    fn user_scores_graph(&self, g: &mut Graph, user: usize, items: &[usize]) -> NodeId {
-        let n = items.len();
-        let eu = self.emb_user.lookup(g, &self.store, &[user]);
-        let eu = g.repeat_rows(eu, n);
-        let ev = self.emb_item.lookup(g, &self.store, items);
-        let cat = g.concat_cols(eu, ev);
-        self.pred.forward(g, &self.store, &cat)
-    }
-
-    fn group_scores_graph(&self, g: &mut Graph, group: usize, items: &[usize]) -> NodeId {
-        let members = &self.members[group];
-        assert!(!members.is_empty(), "group {group} has no members");
-        let eu = self.emb_user.lookup(g, &self.store, members); // l×d
-        let pref = self.emb_group_pref.lookup(g, &self.store, &[group]); // 1×d
-        let ev_all = self.emb_item.lookup(g, &self.store, items); // n×d
-        let mut scores: Option<NodeId> = None;
-        for idx in 0..items.len() {
-            let ev = g.slice_rows(ev_all, idx, 1);
-            let ev_rep = g.repeat_rows(ev, members.len());
-            let rows = g.concat_cols(eu, ev_rep); // [emb(uᵢ) ⊕ emb(v)]
-            let agg = self.att.aggregate(g, &self.store, &rows, &eu); // 1×d
-            let rep = g.add(agg, pref);
-            let cat = g.concat_cols(rep, ev);
-            let s = self.pred.forward(g, &self.store, &cat);
-            scores = Some(match scores {
-                None => s,
-                Some(acc) => g.concat_rows(acc, s),
-            });
-        }
-        scores.expect("non-empty items")
+        Self { cfg, store, net, rng }
     }
 
     /// Joint training: `user_epochs` over the user-item pairs, then
-    /// `group_epochs` over the group-item pairs (shared embeddings).
-    /// Returns `(user_losses, group_losses)`.
+    /// `group_epochs` over the group-item pairs (shared embeddings, one
+    /// Adam across both stages). Returns `(user_losses, group_losses)`.
     pub fn fit(
         &mut self,
         user_pairs: &[(usize, usize)],
@@ -95,60 +104,29 @@ impl Agree {
         group_pairs: &[(usize, usize)],
         gi_graph: &Bipartite,
     ) -> (Vec<f32>, Vec<f32>) {
-        let mut opt = Adam { weight_decay: self.cfg.weight_decay, ..Adam::new(self.cfg.learning_rate) };
-        let mut user_losses = Vec::new();
-        for _ in 0..self.cfg.user_epochs {
-            let examples: Vec<_> = bpr_epoch(&mut self.rng, user_pairs, ui_graph, self.cfg.num_negatives).collect();
-            let mut total = 0.0;
-            for (i, ex) in examples.iter().enumerate() {
-                let mut items = vec![ex.positive];
-                items.extend_from_slice(&ex.negatives);
-                let mut g = Graph::new();
-                let s = self.user_scores_graph(&mut g, ex.entity, &items);
-                let loss = bpr_one_vs_rest(&mut g, s);
-                total += g.value(loss).scalar();
-                let grads = g.backward(loss);
-                self.store.accumulate(&g, &grads);
-                if (i + 1) % self.cfg.batch_size == 0 || i + 1 == examples.len() {
-                    opt.step(&mut self.store);
-                }
-            }
-            user_losses.push(total / examples.len().max(1) as f32);
-        }
-        let mut group_losses = Vec::new();
-        for _ in 0..self.cfg.group_epochs {
-            let examples: Vec<_> = bpr_epoch(&mut self.rng, group_pairs, gi_graph, self.cfg.num_negatives).collect();
-            let mut total = 0.0;
-            for (i, ex) in examples.iter().enumerate() {
-                let mut items = vec![ex.positive];
-                items.extend_from_slice(&ex.negatives);
-                let mut g = Graph::new();
-                let s = self.group_scores_graph(&mut g, ex.entity, &items);
-                let loss = bpr_one_vs_rest(&mut g, s);
-                total += g.value(loss).scalar();
-                let grads = g.backward(loss);
-                self.store.accumulate(&g, &grads);
-                if (i + 1) % self.cfg.batch_size == 0 || i + 1 == examples.len() {
-                    opt.step(&mut self.store);
-                }
-            }
-            group_losses.push(total / examples.len().max(1) as f32);
-        }
+        let Self { cfg, store, net, rng } = self;
+        let mut opt = Adam { weight_decay: cfg.weight_decay, ..Adam::new(cfg.learning_rate) };
+        let user_losses = (0..cfg.user_epochs)
+            .map(|_| {
+                bpr_epoch(cfg, rng, store, &mut opt, user_pairs, ui_graph, |g, s, e, v| net.user_scores(g, s, e, v))
+            })
+            .collect();
+        let group_losses = (0..cfg.group_epochs)
+            .map(|_| {
+                bpr_epoch(cfg, rng, store, &mut opt, group_pairs, gi_graph, |g, s, e, v| net.group_scores(g, s, e, v))
+            })
+            .collect();
         (user_losses, group_losses)
     }
 
-    /// Gradient-free user-task scores.
+    /// User-task scores, evaluated eagerly.
     pub fn score_user_items(&self, user: usize, items: &[usize]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let s = self.user_scores_graph(&mut g, user, items);
-        g.value(s).as_slice().to_vec()
+        self.net.user_scores(&mut Eager, &self.store, user, items).into_owned().into_vec()
     }
 
-    /// Gradient-free group-task scores.
+    /// Group-task scores, evaluated eagerly.
     pub fn score_group_items(&self, group: usize, items: &[usize]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let s = self.group_scores_graph(&mut g, group, items);
-        g.value(s).as_slice().to_vec()
+        self.net.group_scores(&mut Eager, &self.store, group, items).into_owned().into_vec()
     }
 
     /// User-task evaluation scorer.
@@ -165,6 +143,7 @@ impl Agree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{assert_eager_matches_tape, tape_scores};
     use groupsa_eval::{evaluate, EvalTask};
 
     fn toy() -> (Vec<(usize, usize)>, Bipartite, Vec<(usize, usize)>, Bipartite, Vec<Vec<usize>>) {
@@ -207,6 +186,21 @@ mod tests {
         let task = EvalTask { test_pairs: &gp, full_interactions: &gi, num_candidates: 12, ks: vec![5], seed: 6 };
         let hr = evaluate(&agree.group_scorer(), &task).hr(5);
         assert!(hr > 0.5, "AGREE must fit group training data: HR@5 = {hr}");
+    }
+
+    #[test]
+    fn eager_scorers_evaluate_exactly_as_the_tape() {
+        let (up, ui, gp, gi, members) = toy();
+        let mut cfg = BaselineConfig::tiny();
+        cfg.user_epochs = 1;
+        cfg.group_epochs = 1;
+        let mut agree = Agree::new(cfg, ui.num_users(), ui.num_items(), members);
+        agree.fit(&up, &ui, &gp, &gi);
+        let (net, store) = (&agree.net, &agree.store);
+        let user_tape = |u: usize, items: &[usize]| tape_scores(|g| net.user_scores(g, store, u, items));
+        assert_eager_matches_tape(&agree.user_scorer(), &user_tape, &up, &ui);
+        let group_tape = |t: usize, items: &[usize]| tape_scores(|g| net.group_scores(g, store, t, items));
+        assert_eager_matches_tape(&agree.group_scorer(), &group_tape, &gp, &gi);
     }
 
     #[test]

@@ -24,13 +24,17 @@
 //!   GroupSA's per-member predictions, exactly as the paper evaluates
 //!   them.
 //!
-//! All learned baselines share [`BaselineConfig`] and the same BPR
-//! per-example training scheme as the main model.
+//! All learned baselines share [`BaselineConfig`] and one BPR
+//! per-example training epoch, like the main model's. Each writes its
+//! forward pass once, generic over [`groupsa_tensor::Forward`]:
+//! training records it on a [`groupsa_tensor::Graph`], and the
+//! evaluation scorers run it on [`groupsa_tensor::Eager`].
 
 #![warn(missing_docs)]
 
 pub mod aggregation;
 pub mod agree;
+mod common;
 pub mod config;
 pub mod ncf;
 pub mod pop;

@@ -6,28 +6,52 @@
 //! is generic over the left-hand entity set, so the same code serves
 //! both tasks.
 
+use crate::common::bpr_epoch;
 use crate::config::BaselineConfig;
-use groupsa_data::sampling::bpr_epoch;
 use groupsa_eval::Scorer;
 use groupsa_graph::Bipartite;
-use groupsa_nn::loss::bpr_one_vs_rest;
-use groupsa_nn::optim::{Adam, Optimizer};
+use groupsa_nn::optim::Adam;
 use groupsa_nn::{Embedding, Init, Linear, Mlp, ParamStore};
 use groupsa_tensor::rng::{seeded, StdRng};
-use groupsa_tensor::{Forward, Graph, NodeId};
+use groupsa_tensor::{Eager, Forward};
 
 /// NeuMF: `score = head([ (p ⊙ q) ⊕ MLP([p' ⊕ q']) ])` with separate
 /// GMF and MLP embedding tables, as in the original paper.
 pub struct Ncf {
     cfg: BaselineConfig,
     store: ParamStore,
+    net: NeuMf,
+    rng: StdRng,
+}
+
+/// NeuMF's layers; their parameters live in the owning [`Ncf`]'s store.
+struct NeuMf {
     gmf_entity: Embedding,
     gmf_item: Embedding,
     mlp_entity: Embedding,
     mlp_item: Embedding,
     tower: Mlp,
     head: Linear,
-    rng: StdRng,
+}
+
+impl NeuMf {
+    /// The scores of `items` for `entity`, an `items.len()×1` value.
+    fn scores<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, entity: usize, items: &[usize]) -> F::Value {
+        let n = items.len();
+        let pu = self.gmf_entity.lookup(f, store, &[entity]);
+        let pu = f.repeat_rows(&pu, n);
+        let qi = self.gmf_item.lookup(f, store, items);
+        let gmf = f.mul_elem(&pu, &qi); // n×d
+
+        let pu2 = self.mlp_entity.lookup(f, store, &[entity]);
+        let pu2 = f.repeat_rows(&pu2, n);
+        let qi2 = self.mlp_item.lookup(f, store, items);
+        let cat = f.concat_cols(&pu2, &qi2);
+        let mlp = self.tower.forward(f, store, &cat); // n×half
+
+        let fused = f.concat_cols(&gmf, &mlp);
+        self.head.forward(f, store, &fused) // n×1
+    }
 }
 
 impl Ncf {
@@ -44,47 +68,20 @@ impl Ncf {
         let mlp_item = Embedding::new(&mut store, &mut rng, "mlp_item", num_items, d, Init::Glorot);
         let tower = Mlp::new(&mut store, &mut rng, "tower", &[2 * d, d, half], true);
         let head = Linear::new(&mut store, &mut rng, "head", d + half, 1, Init::PAPER_HIDDEN);
+        let net = NeuMf { gmf_entity, gmf_item, mlp_entity, mlp_item, tower, head };
         let rng = seeded(cfg.seed.wrapping_add(1));
-        Self { cfg, store, gmf_entity, gmf_item, mlp_entity, mlp_item, tower, head, rng }
-    }
-
-    fn scores_graph(&self, g: &mut Graph, entity: usize, items: &[usize]) -> NodeId {
-        let n = items.len();
-        let pu = self.gmf_entity.lookup(g, &self.store, &[entity]);
-        let pu = g.repeat_rows(pu, n);
-        let qi = self.gmf_item.lookup(g, &self.store, items);
-        let gmf = g.mul_elem(pu, qi); // n×d
-
-        let pu2 = self.mlp_entity.lookup(g, &self.store, &[entity]);
-        let pu2 = g.repeat_rows(pu2, n);
-        let qi2 = self.mlp_item.lookup(g, &self.store, items);
-        let cat = g.concat_cols(pu2, qi2);
-        let mlp = self.tower.forward(g, &self.store, &cat); // n×half
-
-        let fused = g.concat_cols(gmf, mlp);
-        self.head.forward(g, &self.store, &fused) // n×1
+        Self { cfg, store, net, rng }
     }
 
     /// One BPR epoch over `pairs` (negatives sampled against `graph`).
-    /// Returns the mean loss.
+    /// Returns the mean loss. Each epoch starts a fresh Adam, so its
+    /// moments and bias-correction step restart every epoch.
     pub fn epoch(&mut self, pairs: &[(usize, usize)], graph: &Bipartite) -> f32 {
-        let examples: Vec<_> = bpr_epoch(&mut self.rng, pairs, graph, self.cfg.num_negatives).collect();
         let mut opt = Adam { weight_decay: self.cfg.weight_decay, ..Adam::new(self.cfg.learning_rate) };
-        let mut total = 0.0;
-        for (i, ex) in examples.iter().enumerate() {
-            let mut items = vec![ex.positive];
-            items.extend_from_slice(&ex.negatives);
-            let mut g = Graph::new();
-            let scores = self.scores_graph(&mut g, ex.entity, &items);
-            let loss = bpr_one_vs_rest(&mut g, scores);
-            total += g.value(loss).scalar();
-            let grads = g.backward(loss);
-            self.store.accumulate(&g, &grads);
-            if (i + 1) % self.cfg.batch_size == 0 || i + 1 == examples.len() {
-                opt.step(&mut self.store);
-            }
-        }
-        total / examples.len().max(1) as f32
+        let net = &self.net;
+        bpr_epoch(&self.cfg, &mut self.rng, &mut self.store, &mut opt, pairs, graph, |g, store, e, items| {
+            net.scores(g, store, e, items)
+        })
     }
 
     /// Trains for `cfg.group_epochs` epochs (the entity relation is
@@ -94,11 +91,9 @@ impl Ncf {
         (0..epochs).map(|_| self.epoch(pairs, graph)).collect()
     }
 
-    /// Gradient-free candidate scores.
+    /// Candidate scores, evaluated eagerly.
     pub fn score_items(&self, entity: usize, items: &[usize]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let s = self.scores_graph(&mut g, entity, items);
-        g.value(s).as_slice().to_vec()
+        self.net.scores(&mut Eager, &self.store, entity, items).into_owned().into_vec()
     }
 
     /// An evaluation-protocol scorer.
@@ -110,6 +105,7 @@ impl Ncf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{assert_eager_matches_tape, tape_scores};
     use groupsa_eval::{evaluate, EvalTask};
 
     /// Entities prefer item = entity % 4 strongly, plus shared noise.
@@ -145,6 +141,15 @@ mod tests {
         let task = EvalTask { test_pairs: &pairs, full_interactions: &g, num_candidates: 15, ks: vec![5], seed: 4 };
         let hr = evaluate(&ncf.scorer(), &task).hr(5);
         assert!(hr > 0.6, "NCF must fit its training data: HR@5 = {hr}");
+    }
+
+    #[test]
+    fn eager_scorer_evaluates_exactly_as_the_tape() {
+        let (pairs, g) = toy();
+        let mut ncf = Ncf::new(BaselineConfig::tiny(), g.num_users(), g.num_items());
+        ncf.epoch(&pairs, &g);
+        let tape = |e: usize, items: &[usize]| tape_scores(|t| ncf.net.scores(t, &ncf.store, e, items));
+        assert_eager_matches_tape(&ncf.scorer(), &tape, &pairs, &g);
     }
 
     #[test]

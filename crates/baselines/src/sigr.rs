@@ -14,16 +14,15 @@
 //! the model also trains on user-item data with shared embeddings to
 //! fight group-item sparsity.
 
+use crate::common::{bpr_epoch, concat_tower};
 use crate::config::BaselineConfig;
-use groupsa_data::sampling::bpr_epoch;
 use groupsa_eval::Scorer;
 use groupsa_graph::centrality::{pagerank, quantile_buckets};
 use groupsa_graph::{Bipartite, CsrGraph};
-use groupsa_nn::loss::bpr_one_vs_rest;
-use groupsa_nn::optim::{Adam, Optimizer};
+use groupsa_nn::optim::Adam;
 use groupsa_nn::{Embedding, Init, Mlp, ParamStore, VanillaAttention};
 use groupsa_tensor::rng::{seeded, StdRng};
-use groupsa_tensor::{Forward, Graph, NodeId};
+use groupsa_tensor::{Eager, Forward};
 
 /// Number of PageRank quantile buckets for the influence bias.
 const INFLUENCE_BUCKETS: usize = 8;
@@ -33,6 +32,13 @@ const INFLUENCE_BUCKETS: usize = 8;
 pub struct SigrLike {
     cfg: BaselineConfig,
     store: ParamStore,
+    net: SigrNet,
+    rng: StdRng,
+}
+
+/// SIGR-like's layers, group memberships and influence buckets; the
+/// parameters live in the owning [`SigrLike`]'s store.
+struct SigrNet {
     emb_user: Embedding,
     emb_item: Embedding,
     /// Learned scalar bias per influence bucket (`INFLUENCE_BUCKETS×1`).
@@ -42,7 +48,45 @@ pub struct SigrLike {
     members: Vec<Vec<usize>>,
     /// Per-user PageRank bucket.
     buckets: Vec<usize>,
-    rng: StdRng,
+}
+
+impl SigrNet {
+    fn user_scores<'p, F: Forward<'p>>(
+        &self,
+        f: &mut F,
+        store: &'p ParamStore,
+        user: usize,
+        items: &[usize],
+    ) -> F::Value {
+        concat_tower(f, store, (&self.emb_user, &self.emb_item, &self.pred), user, items)
+    }
+
+    fn group_scores<'p, F: Forward<'p>>(
+        &self,
+        f: &mut F,
+        store: &'p ParamStore,
+        group: usize,
+        items: &[usize],
+    ) -> F::Value {
+        let members = &self.members[group];
+        assert!(!members.is_empty(), "group {group} has no members");
+        let eu = self.emb_user.lookup(f, store, members); // l×d
+        let member_buckets: Vec<usize> = members.iter().map(|&u| self.buckets[u]).collect();
+        let infl = self.influence.lookup(f, store, &member_buckets); // l×1
+        let infl = f.transpose(&infl); // 1×l
+        let ev_all = self.emb_item.lookup(f, store, items);
+        f.stack_rows(items.len(), |f, idx| {
+            let ev = f.slice_rows(&ev_all, idx, 1);
+            let ev_rep = f.repeat_rows(&ev, members.len());
+            let rows = f.concat_cols(&eu, &ev_rep);
+            let raw = self.att.raw_scores(f, store, &rows); // 1×l
+            let biased = f.add(&raw, &infl);
+            let w = f.softmax_rows(biased); // 1×l
+            let rep = f.matmul(&w, &eu); // 1×d
+            let cat = f.concat_cols(&rep, &ev);
+            self.pred.forward(f, store, &cat)
+        })
+    }
 }
 
 impl SigrLike {
@@ -65,48 +109,14 @@ impl SigrLike {
         let influence = Embedding::new(&mut store, &mut rng, "sigr_infl", INFLUENCE_BUCKETS, 1, Init::Gaussian(0.01));
         let att = VanillaAttention::new(&mut store, &mut rng, "sigr_att", 2 * d, d);
         let pred = Mlp::new(&mut store, &mut rng, "sigr_pred", &[2 * d, d, 1], false);
+        let net = SigrNet { emb_user, emb_item, influence, att, pred, members, buckets };
         let rng = seeded(cfg.seed.wrapping_add(29));
-        Self { cfg, store, emb_user, emb_item, influence, att, pred, members, buckets, rng }
+        Self { cfg, store, net, rng }
     }
 
-    fn user_scores_graph(&self, g: &mut Graph, user: usize, items: &[usize]) -> NodeId {
-        let n = items.len();
-        let eu = self.emb_user.lookup(g, &self.store, &[user]);
-        let eu = g.repeat_rows(eu, n);
-        let ev = self.emb_item.lookup(g, &self.store, items);
-        let cat = g.concat_cols(eu, ev);
-        self.pred.forward(g, &self.store, &cat)
-    }
-
-    fn group_scores_graph(&self, g: &mut Graph, group: usize, items: &[usize]) -> NodeId {
-        let members = &self.members[group];
-        assert!(!members.is_empty(), "group {group} has no members");
-        let eu = self.emb_user.lookup(g, &self.store, members); // l×d
-        let member_buckets: Vec<usize> = members.iter().map(|&u| self.buckets[u]).collect();
-        let infl = self.influence.lookup(g, &self.store, &member_buckets); // l×1
-        let infl = g.transpose(infl); // 1×l
-        let ev_all = self.emb_item.lookup(g, &self.store, items);
-        let mut scores: Option<NodeId> = None;
-        for idx in 0..items.len() {
-            let ev = g.slice_rows(ev_all, idx, 1);
-            let ev_rep = g.repeat_rows(ev, members.len());
-            let rows = g.concat_cols(eu, ev_rep);
-            let raw = self.att.raw_scores(g, &self.store, &rows); // 1×l
-            let biased = g.add(raw, infl);
-            let w = g.softmax_rows(biased); // 1×l
-            let rep = g.matmul(w, eu); // 1×d
-            let cat = g.concat_cols(rep, ev);
-            let s = self.pred.forward(g, &self.store, &cat);
-            scores = Some(match scores {
-                None => s,
-                Some(acc) => g.concat_rows(acc, s),
-            });
-        }
-        scores.expect("non-empty items")
-    }
-
-    /// Two-stage joint training like the other attention baselines.
-    /// Returns `(user_losses, group_losses)`.
+    /// Two-stage joint training like the other attention baselines
+    /// (one Adam across both stages). Returns
+    /// `(user_losses, group_losses)`.
     pub fn fit(
         &mut self,
         user_pairs: &[(usize, usize)],
@@ -114,60 +124,29 @@ impl SigrLike {
         group_pairs: &[(usize, usize)],
         gi_graph: &Bipartite,
     ) -> (Vec<f32>, Vec<f32>) {
-        let mut opt = Adam { weight_decay: self.cfg.weight_decay, ..Adam::new(self.cfg.learning_rate) };
-        let mut user_losses = Vec::new();
-        for _ in 0..self.cfg.user_epochs {
-            let examples: Vec<_> = bpr_epoch(&mut self.rng, user_pairs, ui_graph, self.cfg.num_negatives).collect();
-            let mut total = 0.0;
-            for (i, ex) in examples.iter().enumerate() {
-                let mut items = vec![ex.positive];
-                items.extend_from_slice(&ex.negatives);
-                let mut g = Graph::new();
-                let s = self.user_scores_graph(&mut g, ex.entity, &items);
-                let loss = bpr_one_vs_rest(&mut g, s);
-                total += g.value(loss).scalar();
-                let grads = g.backward(loss);
-                self.store.accumulate(&g, &grads);
-                if (i + 1) % self.cfg.batch_size == 0 || i + 1 == examples.len() {
-                    opt.step(&mut self.store);
-                }
-            }
-            user_losses.push(total / examples.len().max(1) as f32);
-        }
-        let mut group_losses = Vec::new();
-        for _ in 0..self.cfg.group_epochs {
-            let examples: Vec<_> = bpr_epoch(&mut self.rng, group_pairs, gi_graph, self.cfg.num_negatives).collect();
-            let mut total = 0.0;
-            for (i, ex) in examples.iter().enumerate() {
-                let mut items = vec![ex.positive];
-                items.extend_from_slice(&ex.negatives);
-                let mut g = Graph::new();
-                let s = self.group_scores_graph(&mut g, ex.entity, &items);
-                let loss = bpr_one_vs_rest(&mut g, s);
-                total += g.value(loss).scalar();
-                let grads = g.backward(loss);
-                self.store.accumulate(&g, &grads);
-                if (i + 1) % self.cfg.batch_size == 0 || i + 1 == examples.len() {
-                    opt.step(&mut self.store);
-                }
-            }
-            group_losses.push(total / examples.len().max(1) as f32);
-        }
+        let Self { cfg, store, net, rng } = self;
+        let mut opt = Adam { weight_decay: cfg.weight_decay, ..Adam::new(cfg.learning_rate) };
+        let user_losses = (0..cfg.user_epochs)
+            .map(|_| {
+                bpr_epoch(cfg, rng, store, &mut opt, user_pairs, ui_graph, |g, s, e, v| net.user_scores(g, s, e, v))
+            })
+            .collect();
+        let group_losses = (0..cfg.group_epochs)
+            .map(|_| {
+                bpr_epoch(cfg, rng, store, &mut opt, group_pairs, gi_graph, |g, s, e, v| net.group_scores(g, s, e, v))
+            })
+            .collect();
         (user_losses, group_losses)
     }
 
-    /// Gradient-free user-task scores.
+    /// User-task scores, evaluated eagerly.
     pub fn score_user_items(&self, user: usize, items: &[usize]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let s = self.user_scores_graph(&mut g, user, items);
-        g.value(s).as_slice().to_vec()
+        self.net.user_scores(&mut Eager, &self.store, user, items).into_owned().into_vec()
     }
 
-    /// Gradient-free group-task scores.
+    /// Group-task scores, evaluated eagerly.
     pub fn score_group_items(&self, group: usize, items: &[usize]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let s = self.group_scores_graph(&mut g, group, items);
-        g.value(s).as_slice().to_vec()
+        self.net.group_scores(&mut Eager, &self.store, group, items).into_owned().into_vec()
     }
 
     /// User-task evaluation scorer.
@@ -182,13 +161,14 @@ impl SigrLike {
 
     /// The PageRank influence bucket assigned to a user (diagnostics).
     pub fn influence_bucket(&self, user: usize) -> usize {
-        self.buckets[user]
+        self.net.buckets[user]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{assert_eager_matches_tape, tape_scores};
     use groupsa_eval::{evaluate, EvalTask};
 
     fn toy() -> (Vec<(usize, usize)>, Bipartite, Vec<(usize, usize)>, Bipartite, Vec<Vec<usize>>, CsrGraph) {
@@ -244,6 +224,21 @@ mod tests {
         let task = EvalTask { test_pairs: &gp, full_interactions: &gi, num_candidates: 12, ks: vec![5], seed: 8 };
         let hr = evaluate(&m.group_scorer(), &task).hr(5);
         assert!(hr > 0.5, "SIGR-like must fit group training data: HR@5 = {hr}");
+    }
+
+    #[test]
+    fn eager_scorers_evaluate_exactly_as_the_tape() {
+        let (up, ui, gp, gi, members, social) = toy();
+        let mut cfg = BaselineConfig::tiny();
+        cfg.user_epochs = 1;
+        cfg.group_epochs = 1;
+        let mut m = SigrLike::new(cfg, ui.num_users(), ui.num_items(), members, &social);
+        m.fit(&up, &ui, &gp, &gi);
+        let (net, store) = (&m.net, &m.store);
+        let user_tape = |u: usize, items: &[usize]| tape_scores(|g| net.user_scores(g, store, u, items));
+        assert_eager_matches_tape(&m.user_scorer(), &user_tape, &up, &ui);
+        let group_tape = |t: usize, items: &[usize]| tape_scores(|g| net.group_scores(g, store, t, items));
+        assert_eager_matches_tape(&m.group_scorer(), &group_tape, &gp, &gi);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Kernels with a retained naive reference (`matmul` vs
 //! `matmul_naive`, bounded-heap `top_k` vs sort-and-truncate, the
 //! fused serve scan vs score-all-then-select, frozen group scoring vs
-//! the training-graph path, …) are marked `gated` and record their
+//! the un-frozen eager path, …) are marked `gated` and record their
 //! `speedup_vs_naive`; the bit-identity of each fast/naive pair is
 //! pinned separately by the kernel-equivalence and frozen-vs-graph
 //! tests, so this binary only has to measure.
@@ -448,8 +448,8 @@ fn measure(p: Profile) -> Vec<KernelRecord> {
 
     // 9. §II-F, full voting path: frozen group scoring over the
     //    catalog from the cached post-voting member reps (what a
-    //    served request runs) vs the training-graph path, which
-    //    rebuilds the voting stack per call. The largest group makes
+    //    served request runs) vs the un-frozen eager eval path, which
+    //    reruns the voting stack per call. The largest group makes
     //    the voting cost most visible.
     let ctx = frozen.context();
     let group = (0..ctx.num_groups())

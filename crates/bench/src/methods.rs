@@ -1,7 +1,7 @@
 //! Train-and-evaluate drivers for every method in the paper's tables.
 
 use crate::env::ExperimentEnv;
-use groupsa_baselines::aggregation::{StaticAggregation, ALL_STRATEGIES};
+use groupsa_baselines::aggregation::ALL_STRATEGIES;
 use groupsa_baselines::{Agree, BaselineConfig, Ncf, Pop, SigrLike};
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig, TrainReport, Trainer};
 use groupsa_eval::EvalResult;
@@ -37,11 +37,7 @@ pub fn eval_groupsa(env: &ExperimentEnv, trained: &TrainedGroupSa) -> (EvalResul
 pub fn eval_static_aggregations(env: &ExperimentEnv, trained: &TrainedGroupSa) -> Vec<(&'static str, EvalResult)> {
     ALL_STRATEGIES
         .iter()
-        .map(|&s| {
-            let scorer = StaticAggregation::new(&trained.model, &trained.ctx, s);
-            let label = scorer.label();
-            (label, env.eval_group(&scorer))
-        })
+        .map(|&s| (s.label(), env.eval_group(&trained.model.fast_group_scorer(&trained.ctx, s))))
         .collect()
 }
 

@@ -12,6 +12,7 @@ use crate::context::DataContext;
 use crate::model::GroupSa;
 use groupsa_eval::Scorer;
 use groupsa_json::impl_json_enum;
+use groupsa_tensor::Matrix;
 
 /// A predefined per-item combination of member scores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +59,8 @@ impl ScoreAggregation {
 
 impl GroupSa {
     /// Fast group scores (§II-F): per-member user-task scores combined
-    /// by `agg`, skipping the voting network entirely.
+    /// by `agg`, skipping the voting network entirely — the composition
+    /// a `FrozenModel`'s fast mode runs over its cached latents.
     pub fn fast_group_scores(
         &self,
         ctx: &DataContext,
@@ -68,10 +70,9 @@ impl GroupSa {
     ) -> Vec<f32> {
         let members = &ctx.members[group];
         assert!(!members.is_empty(), "group {group} has no members");
-        let per_member: Vec<Vec<f32>> = members
-            .iter()
-            .map(|&u| self.score_user_items(ctx, u, items))
-            .collect();
+        let latents: Vec<Option<Matrix>> = members.iter().map(|&u| self.user_latent_frozen(ctx, u)).collect();
+        let latent_refs: Vec<Option<&Matrix>> = latents.iter().map(Option::as_ref).collect();
+        let per_member = self.score_users_items_frozen(members, &latent_refs, items);
         (0..items.len()).map(|idx| agg.combine(per_member.iter().map(|row| row[idx]))).collect()
     }
 

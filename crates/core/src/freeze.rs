@@ -2,20 +2,20 @@
 //!
 //! Every GroupSA equation is written once, generic over
 //! [`groupsa_tensor::Forward`], in [`crate::user_model`] and
-//! [`crate::voting`]. Training and evaluation record those definitions
-//! on a [`groupsa_tensor::Graph`]; the entry points here run the same
-//! definitions on the tape-free [`Eager`] evaluator, which borrows the
-//! parameters instead of copying them and records nothing. Both
-//! evaluators compute every value through the same `Matrix` routines
-//! (or, for the fused pair-feature build, the same element-wise
-//! copies and products), so these scores are bit-identical to
-//! [`GroupSa::score_user_items`] / [`GroupSa::score_group_items`] (up
-//! to IEEE sign-of-zero, which `f32 ==` treats as equal). The tests
-//! below and the goldens in `groupsa-serve` pin this down.
+//! [`crate::voting`]. Training records those definitions on a
+//! [`groupsa_tensor::Graph`]; evaluation and the entry points here run
+//! the same definitions on the tape-free [`Eager`] evaluator, which
+//! borrows the parameters instead of copying them and records nothing.
+//! Both evaluators compute every value through the same `Matrix`
+//! routines (or, for the fused pair-feature build, the same
+//! element-wise copies and products), so these scores are
+//! bit-identical to the training tape's (up to IEEE sign-of-zero,
+//! which `f32 ==` treats as equal). The tests below and the goldens in
+//! `groupsa-serve` pin this down.
 //!
-//! There is one user tower: a served user request and each member of
-//! a fast-mode group (§II-F) both run
-//! [`GroupSa::score_user_items_frozen`].
+//! There is one user tower: a served user request, each member of a
+//! fast-mode group (§II-F) and every evaluation scorer run
+//! [`GroupSa::user_scores`] on [`Eager`].
 //!
 //! The split into *latent* / *member-reps* producers and score
 //! consumers is what makes serving cheap: a `FrozenModel` (in
@@ -143,8 +143,13 @@ impl GroupSa {
 mod tests {
     use crate::config::{Ablation, GroupSaConfig, VotingInput};
     use crate::context::DataContext;
+    use crate::fast::ScoreAggregation;
     use crate::model::GroupSa;
     use crate::test_fixtures::tiny_world;
+    use groupsa_eval::{evaluate, EvalTask, Scorer};
+    use groupsa_graph::Bipartite;
+    use groupsa_tensor::rng::seeded;
+    use groupsa_tensor::Graph;
 
     fn frozen_user_scores(model: &GroupSa, ctx: &DataContext, user: usize, items: &[usize]) -> Vec<f32> {
         let h = model.user_latent_frozen(ctx, user);
@@ -156,6 +161,24 @@ mod tests {
         model.score_group_items_frozen(&reps, items)
     }
 
+    /// The user-task definition recorded on a tape, as training runs it.
+    fn graph_user_scores(model: &GroupSa, ctx: &DataContext, user: usize, items: &[usize]) -> Vec<f32> {
+        let mut g = Graph::new();
+        let s = model.user_scores_graph(&mut g, ctx, user, items);
+        g.value(s).as_slice().to_vec()
+    }
+
+    /// The group-task definition recorded on a tape, dropout off.
+    fn graph_group_scores(model: &GroupSa, ctx: &DataContext, group: usize, items: &[usize]) -> Vec<f32> {
+        let mut g = Graph::new();
+        let s = model.group_scores_graph(&mut g, &mut seeded(0), ctx, group, items, false);
+        g.value(s).as_slice().to_vec()
+    }
+
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn frozen_user_scores_match_graph_path_exactly() {
         let (d, ctx) = tiny_world(61);
@@ -163,7 +186,7 @@ mod tests {
         let items: Vec<usize> = (0..10).collect();
         for user in [0, 1, d.num_users - 1] {
             assert_eq!(
-                model.score_user_items(&ctx, user, &items),
+                graph_user_scores(&model, &ctx, user, &items),
                 frozen_user_scores(&model, &ctx, user, &items),
                 "user {user}"
             );
@@ -177,7 +200,7 @@ mod tests {
         let items: Vec<usize> = (0..10).collect();
         for group in [0, 1, ctx.num_groups() - 1] {
             assert_eq!(
-                model.score_group_items(&ctx, group, &items),
+                graph_group_scores(&model, &ctx, group, &items),
                 frozen_group_scores(&model, &ctx, group, &items),
                 "group {group}"
             );
@@ -200,12 +223,12 @@ mod tests {
             let model = GroupSa::new(cfg, d.num_users, d.num_items);
             let items = [0usize, 1, 2, 3];
             assert_eq!(
-                model.score_user_items(&ctx, 0, &items),
+                graph_user_scores(&model, &ctx, 0, &items),
                 frozen_user_scores(&model, &ctx, 0, &items),
                 "{ab:?}"
             );
             assert_eq!(
-                model.score_group_items(&ctx, 0, &items),
+                graph_group_scores(&model, &ctx, 0, &items),
                 frozen_group_scores(&model, &ctx, 0, &items),
                 "{ab:?}"
             );
@@ -221,7 +244,7 @@ mod tests {
         let ctx = DataContext::from_train_view(&d, &cfg);
         let model = GroupSa::new(cfg, d.num_users, d.num_items);
         let items = [0usize, 1, 2, 3, 4];
-        assert_eq!(model.score_group_items(&ctx, 0, &items), frozen_group_scores(&model, &ctx, 0, &items));
+        assert_eq!(graph_group_scores(&model, &ctx, 0, &items), frozen_group_scores(&model, &ctx, 0, &items));
 
         // The per-user latent cache is equivalent to on-the-fly latents.
         let latents: Vec<Option<groupsa_tensor::Matrix>> =
@@ -239,7 +262,52 @@ mod tests {
         let ctx = DataContext::from_train_view(&d, &cfg);
         let model = GroupSa::new(cfg, d.num_users, d.num_items);
         let items = [0usize, 1, 2];
-        assert_eq!(model.score_user_items(&ctx, 0, &items), frozen_user_scores(&model, &ctx, 0, &items));
+        assert_eq!(graph_user_scores(&model, &ctx, 0, &items), frozen_user_scores(&model, &ctx, 0, &items));
+    }
+
+    /// Evaluates `eager` and `tape` on the same sampled candidates and
+    /// asserts equal outcomes, then compares raw score bits.
+    fn assert_same_evaluation(
+        eager: &dyn Scorer,
+        tape: &dyn Scorer,
+        pairs: &[(usize, usize)],
+        full: &Bipartite,
+        what: &str,
+    ) {
+        let task = EvalTask { test_pairs: pairs, full_interactions: full, num_candidates: 20, ks: vec![5], seed: 3 };
+        assert_eq!(evaluate(eager, &task).outcomes, evaluate(tape, &task).outcomes, "{what}");
+        for &(e, i) in pairs.iter().take(5) {
+            let items = [i, 0, 1, 2, 3];
+            assert_eq!(bits(&eager.score(e, &items)), bits(&tape.score(e, &items)), "{what} entity {e}");
+        }
+    }
+
+    /// Validation HR drives the plateau learning-rate schedule, so the
+    /// eager evaluation scorers must rank exactly as the tape would:
+    /// every eval outcome and every score bit equal, on the user task,
+    /// the voting path and all three fast-mode aggregations.
+    #[test]
+    fn eager_scorers_evaluate_exactly_as_the_tape() {
+        let (d, _) = tiny_world(66);
+        let mut cfg = GroupSaConfig::tiny();
+        cfg.voting_input = VotingInput::Enhanced;
+        let ctx = DataContext::from_train_view(&d, &cfg);
+        let model = GroupSa::new(cfg, d.num_users, d.num_items);
+        let (up, ui) = (&ctx.train_user_item, &ctx.user_item_graph);
+        let (gp, gi) = (&ctx.train_group_item, &ctx.group_item_graph);
+        let user_tape = |u: usize, items: &[usize]| graph_user_scores(&model, &ctx, u, items);
+        assert_same_evaluation(&model.user_scorer(&ctx), &user_tape, up, ui, "user");
+        let group_tape = |t: usize, items: &[usize]| graph_group_scores(&model, &ctx, t, items);
+        assert_same_evaluation(&model.group_scorer(&ctx), &group_tape, gp, gi, "voting");
+        for agg in [ScoreAggregation::Average, ScoreAggregation::LeastMisery, ScoreAggregation::MaxSatisfaction] {
+            let fast_tape = |t: usize, items: &[usize]| {
+                let rows: Vec<Vec<f32>> =
+                    ctx.members[t].iter().map(|&u| graph_user_scores(&model, &ctx, u, items)).collect();
+                (0..items.len()).map(|i| agg.combine(rows.iter().map(|r| r[i]))).collect::<Vec<f32>>()
+            };
+            let fast = model.fast_group_scorer(&ctx, agg);
+            assert_same_evaluation(&fast, &fast_tape, gp, gi, agg.label());
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use groupsa_nn::{
     Embedding, Init, Linear, Mlp, ParamStore, TransformerLayer, VanillaAttention,
 };
 use groupsa_tensor::rng::seeded;
-use groupsa_tensor::{Graph, Matrix};
+use groupsa_tensor::{Eager, Matrix};
 
 /// The GroupSA model: four embedding tables, the user-modeling
 /// aggregators, the stacked social self-attention voting network, and
@@ -150,20 +150,18 @@ impl GroupSa {
         self.store.num_scalars()
     }
 
-    /// Gradient-free user-task scores for `items` (Eq. 23): evaluates
-    /// the training graph with dropout disabled.
+    /// User-task scores for `items` (Eq. 23): the training definition
+    /// evaluated eagerly, with the latent factor computed on the fly
+    /// (only when `wᵘ ≠ 0`).
     pub fn score_user_items(&self, ctx: &DataContext, user: usize, items: &[usize]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let scores = self.user_scores_graph(&mut g, ctx, user, items);
-        g.value(scores).as_slice().to_vec()
+        let latent = |f: &mut Eager| self.user_latent(f, user, &ctx.top_items[user], &ctx.top_friends[user]);
+        self.user_scores(&mut Eager, user, items, latent).into_owned().into_vec()
     }
 
-    /// Gradient-free group-task scores for `items` (Eq. 20).
+    /// Group-task scores for `items` (Eq. 20): the voting network, then
+    /// γ and the group tower, evaluated eagerly with dropout off.
     pub fn score_group_items(&self, ctx: &DataContext, group: usize, items: &[usize]) -> Vec<f32> {
-        let mut g = Graph::new();
-        let mut rng = seeded(0); // dropout disabled; rng unused
-        let scores = self.group_scores_graph(&mut g, &mut rng, ctx, group, items, false);
-        g.value(scores).as_slice().to_vec()
+        self.score_group_items_frozen(&self.member_reps_frozen(ctx, group, &[]), items)
     }
 
     /// An [`Scorer`] over users for the evaluation protocol.

@@ -339,15 +339,6 @@ impl Trainer {
         if let Some(snapshot) = best_snapshot {
             model.store_mut().restore_values(&snapshot);
         }
-        // One registry dump per fit: the cross-cutting timers (the
-        // `nn.*` per-call histograms) land in the trace as a single
-        // summarising `metrics` event.
-        if groupsa_obs::enabled() {
-            groupsa_obs::emit(
-                "metrics",
-                &[("registry", groupsa_obs::to_json(&groupsa_obs::global().snapshot()))],
-            );
-        }
         report
     }
 

@@ -67,8 +67,9 @@ impl GroupSa {
     /// The user-task scores of `items` (Eq. 22–23):
     /// `r = (1 − wᵘ)·MLP([embᵁ ⊕ embⱽ]) + wᵘ·MLP([h ⊕ xⱽ])`, both
     /// through the *same* prediction tower. `latent` supplies the
-    /// user's latent factor `h` — computed in place on a tape, or a
-    /// cached row when serving — and is only asked for when `wᵘ ≠ 0`.
+    /// user's latent factor `h` — computed in place (on a tape when
+    /// training, eagerly when evaluating), or a cached row when serving
+    /// — and is only asked for when `wᵘ ≠ 0`.
     /// Falls back to `r₁` when it yields nothing.
     ///
     /// Returns an `items.len()×1` value.

@@ -15,31 +15,8 @@
 //!   (or item / friend) representations.
 
 use crate::{Dropout, FeedForward, Init, LayerNorm, Linear, ParamStore};
-use groupsa_obs::{Histogram, ScopedTimer};
 use groupsa_tensor::{Forward, Matrix};
 use rand::Rng;
-use std::sync::{Arc, OnceLock};
-
-/// A per-call timer into a layer's `*.forward_us` histogram in the
-/// process-wide metrics registry, for calls recorded on a tape only.
-/// Eager calls stay untimed: γ runs once per candidate item when
-/// serving, and a clock read at that grain would distort what it
-/// measures. `None` (one atomic load, no clock read) unless
-/// `GROUPSA_TRACE` is on. The `Arc` handle is cached in `slot`, so the
-/// registry lock is taken once per histogram per process.
-fn layer_timer<'p, F: Forward<'p>>(
-    slot: &'static OnceLock<Arc<Histogram>>,
-    name: &'static str,
-) -> Option<ScopedTimer<'static>> {
-    if !F::TAPE || !groupsa_obs::enabled() {
-        return None;
-    }
-    groupsa_obs::maybe_timer(slot.get_or_init(|| groupsa_obs::global().histogram(name)))
-}
-
-static ATTENTION: OnceLock<Arc<Histogram>> = OnceLock::new();
-static VOTING_ROUND: OnceLock<Arc<Histogram>> = OnceLock::new();
-static VANILLA: OnceLock<Arc<Histogram>> = OnceLock::new();
 
 /// Builds the `{0, −∞}` additive mask of paper Eq. (5) from a boolean
 /// adjacency: `allowed[i][j] == true` keeps the attention edge `i → j`.
@@ -97,7 +74,6 @@ impl SelfAttention {
         x: &F::Value,
         mask: Option<&Matrix>,
     ) -> (F::Value, F::Value) {
-        let _t = layer_timer::<F>(&ATTENTION, "nn.attention.forward_us");
         let wq = f.param_full(self.wq, store.value(self.wq));
         let wk = f.param_full(self.wk, store.value(self.wk));
         let wv = f.param_full(self.wv, store.value(self.wv));
@@ -159,7 +135,6 @@ impl TransformerLayer {
         mask: Option<&Matrix>,
         training: bool,
     ) -> F::Value {
-        let _t = layer_timer::<F>(&VOTING_ROUND, "nn.voting_round.forward_us");
         let (z, _) = self.attn.forward(f, store, x, mask);
         let z = self.dropout.forward(f, rng, z, training);
         let res = f.add(x, &z);
@@ -210,7 +185,6 @@ impl VanillaAttention {
     /// The scorer: `rows` is `n×in_dim`; returns the `1×n` softmax
     /// weight row.
     pub fn weights<'p, F: Forward<'p>>(&self, f: &mut F, store: &'p ParamStore, rows: &F::Value) -> F::Value {
-        let _t = layer_timer::<F>(&VANILLA, "nn.vanilla_attention.forward_us");
         let s = self.raw_scores(f, store, rows);
         f.softmax_rows(s)
     }

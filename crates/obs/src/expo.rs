@@ -14,12 +14,12 @@
 //!
 //! Metric names are sanitised through [`sanitize`] (`.` and any other
 //! non-`[a-zA-Z0-9_]` byte become `_`), so a dotted name like
-//! `nn.attention.forward_us` exposes as `nn_attention_forward_us`.
+//! `engine.queue_us` exposes as `engine_queue_us`.
 
 use crate::registry::{bucket_upper, HistogramSnapshot, NUM_BUCKETS};
 
 /// Rewrites `name` into the exposition charset: `[a-zA-Z0-9_]`, with
-/// every other byte (registry dots, say) replaced by `_`.
+/// every other byte (dots, say) replaced by `_`.
 pub fn sanitize(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect()
 }
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn sanitize_keeps_the_exposition_charset() {
-        assert_eq!(sanitize("nn.attention.forward_us"), "nn_attention_forward_us");
+        assert_eq!(sanitize("engine.queue_us"), "engine_queue_us");
         assert_eq!(sanitize("ok_name_9"), "ok_name_9");
         assert_eq!(sanitize("a b/c"), "a_b_c");
     }

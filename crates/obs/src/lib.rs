@@ -6,19 +6,15 @@
 //!
 //! Three pieces:
 //!
-//! * [`registry`] — lock-cheap metric primitives ([`Counter`],
+//! * [`registry`] — lock-free metric primitives ([`Counter`],
 //!   [`Gauge`], [`Histogram`] with log₂ buckets and derived
-//!   p50/p95/p99) plus a named [`Registry`] of them. All updates are
-//!   relaxed atomics; the only lock is the registry's name table,
-//!   taken on handle creation, never on the update path. The serve
-//!   crate's request metrics are built from these primitives, and a
-//!   process-wide [`global`] registry collects cross-cutting timers
-//!   (the `nn.*.forward_us` histograms of taped training calls).
+//!   p50/p95/p99). All updates are relaxed atomics. The serve crate's
+//!   request metrics are built from these primitives.
 //! * [`trace`] — structured span tracing and a JSONL event emitter
 //!   gated by the `GROUPSA_TRACE=path` environment variable. When the
 //!   variable is unset, [`enabled`] is a single atomic load and every
-//!   [`span!`], [`emit`], and [`maybe_timer`] call is a no-op: default
-//!   runs pay near-zero cost and — critically — observability never
+//!   [`span!`] and [`emit`] call is a no-op: default runs pay
+//!   near-zero cost and — critically — observability never
 //!   touches an RNG, so traced and untraced training produce
 //!   bit-identical parameters.
 //! * [`schema`] — the trace-file contract: [`schema::validate_trace`]
@@ -41,7 +37,7 @@
 //!
 //! ```text
 //! GROUPSA_TRACE=results/train_trace.jsonl ./target/release/train_bench --digest
-//! ./target/release/trace_check results/train_trace.jsonl epoch window metrics
+//! ./target/release/trace_check results/train_trace.jsonl epoch window
 //! ```
 //!
 //! Every line is one JSON object with the common fields `kind`, `seq`
@@ -58,9 +54,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use record::{RecordOutcome, RecordRing, RequestRecord};
-pub use registry::{
-    bucket_of, bucket_upper, global, percentile, Counter, Gauge, Histogram, HistogramSnapshot,
-    Registry, RegistrySnapshot, NUM_BUCKETS,
-};
+pub use registry::{bucket_of, bucket_upper, percentile, Counter, Gauge, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use telemetry::{hash_id, Telemetry, TelemetryConfig};
-pub use trace::{emit, enabled, maybe_timer, to_json, ScopedTimer, Span, TRACE_ENV};
+pub use trace::{emit, enabled, to_json, Span, TRACE_ENV};

@@ -1,17 +1,12 @@
-//! Lock-cheap metric primitives and the named registry.
+//! Lock-free metric primitives.
 //!
 //! Counters, gauges, and log₂ histograms are plain structs over
-//! relaxed atomics — they can be embedded directly in a subsystem's
-//! own metrics struct (the serve engine does this, so two engines in
-//! one process never share counters) or handed out as `Arc`s by a
-//! [`Registry`] keyed by name (the process-wide [`global`] registry
-//! collects the cross-cutting `nn.*` timers). Updates never take a
-//! lock; the registry's name table is locked only when a handle is
-//! created or a snapshot is taken.
+//! relaxed atomics, embedded directly in a subsystem's own metrics
+//! struct (the serve engine does this, so two engines in one process
+//! never share counters). Updates never take a lock.
 
 use groupsa_json::impl_json_struct;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Number of log₂ histogram buckets; bucket `i > 0` covers
@@ -208,140 +203,10 @@ pub struct HistogramSnapshot {
 
 impl_json_struct!(HistogramSnapshot { count, sum, mean, p50, p95, p99, buckets });
 
-/// One named counter in a [`RegistrySnapshot`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CounterEntry {
-    /// Metric name.
-    pub name: String,
-    /// Counter value.
-    pub value: u64,
-}
-
-impl_json_struct!(CounterEntry { name, value });
-
-/// One named gauge in a [`RegistrySnapshot`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct GaugeEntry {
-    /// Metric name.
-    pub name: String,
-    /// Most recent sample.
-    pub last: u64,
-    /// High-watermark.
-    pub max: u64,
-}
-
-impl_json_struct!(GaugeEntry { name, last, max });
-
-/// One named histogram in a [`RegistrySnapshot`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramEntry {
-    /// Metric name.
-    pub name: String,
-    /// The histogram's derived snapshot.
-    pub histogram: HistogramSnapshot,
-}
-
-impl_json_struct!(HistogramEntry { name, histogram });
-
-/// A point-in-time copy of a whole [`Registry`], sorted by name so the
-/// serialised form is deterministic.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RegistrySnapshot {
-    /// All counters.
-    pub counters: Vec<CounterEntry>,
-    /// All gauges.
-    pub gauges: Vec<GaugeEntry>,
-    /// All histograms.
-    pub histograms: Vec<HistogramEntry>,
-}
-
-impl_json_struct!(RegistrySnapshot { counters, gauges, histograms });
-
-/// A named collection of metrics. Handles are `Arc`s: look one up once
-/// (get-or-create by name), cache it, update it lock-free forever
-/// after.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<Vec<(String, Arc<Counter>)>>,
-    gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
-    histograms: Mutex<Vec<(String, Arc<Histogram>)>>,
-}
-
-fn get_or_create<T: Default>(table: &Mutex<Vec<(String, Arc<T>)>>, name: &str) -> Arc<T> {
-    // A panic elsewhere must not take metrics down with it: the table
-    // is a grow-only Vec, structurally valid even if a holder panicked,
-    // so recover the guard instead of propagating the poison.
-    let mut table = table.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((_, v)) = table.iter().find(|(n, _)| n == name) {
-        return Arc::clone(v);
-    }
-    let v = Arc::new(T::default());
-    table.push((name.to_string(), Arc::clone(&v)));
-    v
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_create(&self.counters, name)
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_create(&self.gauges, name)
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        get_or_create(&self.histograms, name)
-    }
-
-    /// A name-sorted snapshot of every registered metric.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut counters: Vec<CounterEntry> = self
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(n, c)| CounterEntry { name: n.clone(), value: c.get() })
-            .collect();
-        let mut gauges: Vec<GaugeEntry> = self
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(n, g)| GaugeEntry { name: n.clone(), last: g.last(), max: g.max() })
-            .collect();
-        let mut histograms: Vec<HistogramEntry> = self
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(n, h)| HistogramEntry { name: n.clone(), histogram: h.snapshot() })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        RegistrySnapshot { counters, gauges, histograms }
-    }
-}
-
-/// The process-wide registry: cross-cutting instrumentation (the
-/// `nn.*.forward_us` timers of taped training calls) records here, and
-/// training's trace `metrics` event dumps it.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn bucket_boundaries_are_exact_powers_of_two() {
@@ -503,33 +368,6 @@ mod tests {
         g.set(2);
         assert_eq!(g.last(), 2, "last must be the most recent sample");
         assert_eq!(g.max(), 11, "max must be the high-watermark");
-    }
-
-    #[test]
-    fn registry_returns_same_handle_for_same_name() {
-        let r = Registry::new();
-        let a = r.counter("x");
-        let b = r.counter("x");
-        a.inc();
-        b.add(2);
-        assert_eq!(r.counter("x").get(), 3);
-        assert_eq!(r.counter("y").get(), 0);
-    }
-
-    #[test]
-    fn registry_snapshot_is_name_sorted_and_serialisable() {
-        let r = Registry::new();
-        r.counter("z.late").inc();
-        r.counter("a.early").add(5);
-        r.gauge("depth").set(7);
-        r.histogram("lat").record(100);
-        let s = r.snapshot();
-        assert_eq!(s.counters[0].name, "a.early");
-        assert_eq!(s.counters[1].name, "z.late");
-        assert_eq!(s.gauges[0].last, 7);
-        assert_eq!(s.histograms[0].histogram.count, 1);
-        let text = groupsa_json::to_string(&s);
-        assert_eq!(groupsa_json::from_str::<RegistrySnapshot>(&text).unwrap(), s);
     }
 
     #[test]

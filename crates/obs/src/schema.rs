@@ -18,7 +18,6 @@
 //! | `epoch`   | `stage`:{user,group,mix}, `epoch`, `loss`, `lr`, `seconds`, `examples`, `examples_per_sec`, `forward_us`, `backward_us`, `merge_us`, `step_us` |
 //! | `window`  | `stage`:str, `round`, `start`, `len`, `forward_us`, `backward_us`, `merge_us`, `step_us` |
 //! | `request_record` | `conn`, `id`, `arrival_us`, `queue_us`, `batch`, `score_us`, `write_us`, `total_us`:num, `outcome`:{ok,error,expired,shed,rejected} |
-//! | `metrics` | `registry`:object with `counters`/`gauges`/`histograms` arrays    |
 //! | `stats`   | `stats`:object                                                    |
 //! | `run`     | `label`:str                                                       |
 //!
@@ -123,14 +122,6 @@ pub fn validate_event(event: &Json) -> Result<String, String> {
                 &["conn", "id", "arrival_us", "queue_us", "batch", "score_us", "write_us", "total_us"],
             )?;
         }
-        "metrics" => {
-            let registry = require(event, "registry")?;
-            for table in ["counters", "gauges", "histograms"] {
-                require(registry, table)?
-                    .as_array()
-                    .ok_or_else(|| format!("registry.{table} must be an array"))?;
-            }
-        }
         "stats" => {
             let stats = require(event, "stats")?;
             if !matches!(stats, Json::Object(_)) {
@@ -204,13 +195,12 @@ mod tests {
                 "\"conn\":2,\"id\":7,\"outcome\":\"shed\",\"arrival_us\":10,\"queue_us\":0,\"batch\":0,\
                  \"score_us\":0,\"write_us\":0,\"total_us\":3,\"slow\":false",
             ),
-            base("metrics", "\"registry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}"),
             base("stats", "\"stats\":{\"submitted\":1}"),
             base("run", "\"label\":\"serve_bench\""),
         ];
         let text = lines.join("\n");
         let summary = validate_trace(&text).expect("all kinds must validate");
-        assert_eq!(summary.events, 7);
+        assert_eq!(summary.events, 6);
         assert_eq!(summary.count("span"), 1);
         assert_eq!(summary.count("epoch"), 1);
         assert_eq!(summary.count("request_record"), 1);
@@ -247,12 +237,14 @@ mod tests {
         assert!(validate_trace(&wrong_type).is_err());
         // Retired kinds: workers pop one job at a time, so there is no
         // per-drain `batch`; `request_record` carries every field of the
-        // old `request` event, and the final `stats` event both windows
-        // of the old `window_snapshot`.
+        // old `request` event, the final `stats` event both windows
+        // of the old `window_snapshot`, and training's `window` events
+        // the forward/backward split the old `metrics` dump timed.
         assert!(validate_trace(&base("batch", "\"n\":4,\"form_us\":2")).is_err());
         let request = "\"id\":1,\"outcome\":\"ok\",\"queue_us\":1,\"score_us\":1";
         assert!(validate_trace(&base("request", request)).is_err());
         assert!(validate_trace(&base("window_snapshot", "\"window_s\":10")).is_err());
+        assert!(validate_trace(&base("metrics", "\"registry\":{}")).is_err());
         assert!(validate_trace(&base("teapot", "")).is_err());
         let bad_outcome = base("request_record", &record("1", "dropped"));
         let err = validate_trace(&bad_outcome).unwrap_err();

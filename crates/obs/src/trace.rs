@@ -18,7 +18,6 @@
 //! drop (so a parent's `dur_us` covers its children, which appear
 //! earlier in the file).
 
-use crate::registry::Histogram;
 use groupsa_json::Json;
 use std::cell::Cell;
 use std::io::Write;
@@ -184,28 +183,4 @@ macro_rules! span {
             $crate::Span::disabled()
         }
     };
-}
-
-/// A scoped timer recording into a [`Histogram`] on drop — the
-/// per-call instrumentation the `nn` layers use on taped (training)
-/// calls. Obtain via [`maybe_timer`].
-pub struct ScopedTimer<'a> {
-    hist: &'a Histogram,
-    start: Instant,
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        self.hist.record_duration(self.start.elapsed());
-    }
-}
-
-/// A [`ScopedTimer`] over `hist` when tracing is enabled, `None`
-/// otherwise — so hot paths pay one atomic load when disabled.
-pub fn maybe_timer(hist: &Histogram) -> Option<ScopedTimer<'_>> {
-    if enabled() {
-        Some(ScopedTimer { hist, start: Instant::now() })
-    } else {
-        None
-    }
 }

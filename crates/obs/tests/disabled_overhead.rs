@@ -4,7 +4,7 @@
 //! allocation). Own test binary so the process-global sink latches the
 //! *disabled* state without interference from the traced schema test.
 
-use groupsa_obs::{emit, enabled, global, maybe_timer, span, to_json};
+use groupsa_obs::{emit, enabled, span, to_json};
 use std::time::Instant;
 
 #[test]
@@ -13,15 +13,11 @@ fn disabled_instrumentation_is_inert_and_cheap() {
     std::env::remove_var(groupsa_obs::TRACE_ENV);
     assert!(!enabled(), "tracing must be off without GROUPSA_TRACE");
 
-    // Functionally inert: spans are no-ops, timers are absent, nothing
-    // is recorded and nothing is written.
+    // Functionally inert: spans are no-ops and nothing is written.
     let s = span!("anything", "x" => 1usize);
     assert!(s.is_noop());
     drop(s);
-    let hist = global().histogram("disabled.timer_us");
-    assert!(maybe_timer(&hist).is_none());
     emit("run", &[("label", to_json(&"never written"))]);
-    assert_eq!(hist.count(), 0, "disabled timers must not record");
 
     // Cheap: a million disabled span + gate checks in well under a
     // second of budget (the real cost is a few ns each; the bound is

@@ -10,7 +10,7 @@
 
 use groupsa_json::Json;
 use groupsa_obs::schema::validate_trace;
-use groupsa_obs::{emit, enabled, global, maybe_timer, span, to_json};
+use groupsa_obs::{emit, enabled, span, to_json};
 
 #[test]
 fn emitted_trace_validates_against_schema() {
@@ -28,13 +28,6 @@ fn emitted_trace_validates_against_schema() {
         for round in 0..2u64 {
             let _inner = span!("group_epoch", "round" => round);
         }
-    }
-
-    // A histogram-backed timer (records into the global registry).
-    {
-        let hist = global().histogram("test.timer_us");
-        let _t = maybe_timer(&hist);
-        assert!(maybe_timer(&hist).is_some());
     }
 
     // One event of every remaining kind, through the public emitter.
@@ -67,7 +60,6 @@ fn emitted_trace_validates_against_schema() {
             ("step_us", to_json(&4u64)),
         ],
     );
-    emit("metrics", &[("registry", to_json(&global().snapshot()))]);
     emit("run", &[("label", to_json(&"trace-schema-test"))]);
 
     // Spans from another thread must interleave safely and restart
@@ -87,13 +79,11 @@ fn emitted_trace_validates_against_schema() {
     assert_eq!(summary.count("span"), 4, "fit + 2 epochs + worker span");
     assert_eq!(summary.count("epoch"), 1);
     assert_eq!(summary.count("window"), 1);
-    assert_eq!(summary.count("metrics"), 1);
     assert_eq!(summary.count("run"), 1);
 
     // Structural details beyond the generic schema: seq is strictly
-    // increasing, inner spans precede their parent (emitted on drop)
-    // with depth 1, and the timed histogram made it into the metrics
-    // dump.
+    // increasing, and inner spans precede their parent (emitted on
+    // drop) with depth 1.
     let events: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
     let seqs: Vec<f64> = events.iter().map(|e| e.get("seq").unwrap().as_f64().unwrap()).collect();
     assert!(seqs.windows(2).all(|w| w[1] > w[0]), "seq must be monotone: {seqs:?}");
@@ -109,14 +99,6 @@ fn emitted_trace_validates_against_schema() {
     let worker = spans.iter().find(|s| s.get("name").unwrap().as_str() == Some("worker_span")).unwrap();
     assert_eq!(worker.get("depth").unwrap().as_f64(), Some(0.0), "fresh thread starts at depth 0");
     assert_eq!(worker.get("thread").unwrap().as_str(), Some("obs-test-worker"));
-
-    let metrics = events.iter().find(|e| e.get("kind").unwrap().as_str() == Some("metrics")).unwrap();
-    let hists = metrics.get("registry").unwrap().get("histograms").unwrap().as_array().unwrap();
-    let timer = hists
-        .iter()
-        .find(|h| h.get("name").unwrap().as_str() == Some("test.timer_us"))
-        .expect("timed histogram must appear in the registry dump");
-    assert!(timer.get("histogram").unwrap().get("count").unwrap().as_f64().unwrap() >= 1.0);
 
     let _ = std::fs::remove_file(&path);
 }

@@ -12,9 +12,10 @@
 //! item-conditioned attention, and the prediction towers — the paper's
 //! §II-F observation that the voting network dominates inference
 //! latency, applied to the full path instead of approximating it.
-//! Frozen scores are bit-identical to the graph eval path (the golden
-//! tests in `tests/golden.rs` assert exact equality), so the snapshot
-//! is a pure speedup, not an approximation.
+//! Frozen scores are bit-identical to the un-frozen eager eval path
+//! (the golden tests in `tests/golden.rs` assert exact equality), which
+//! is in turn bit-identical to the training tape, so the snapshot is a
+//! pure speedup, not an approximation.
 //!
 //! The snapshot is immutable after construction — worker threads share
 //! it through an `Arc` with no locking. Model reload builds a successor

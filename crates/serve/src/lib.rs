@@ -11,11 +11,12 @@
 //!   group's post-voting member representations (Eq. 1–6) are
 //!   precomputed through the eager entry points in
 //!   `groupsa_core::freeze`, so per-request work is embedding lookups
-//!   plus the prediction towers. They run the training graph's own
-//!   forward definition without a tape, so scores are bit-identical to
-//!   the training-graph eval path — the snapshot is a speedup, not an
-//!   approximation (generalising the paper's §II-F fast-inference
-//!   idea, which *is* also available as a request mode).
+//!   plus the prediction towers. They run the model's one forward
+//!   definition without a tape, as evaluation does, so scores are
+//!   bit-identical to the eval path and to the training tape — the
+//!   snapshot is a speedup, not an approximation (generalising the
+//!   paper's §II-F fast-inference idea, which *is* also available as a
+//!   request mode).
 //! * [`engine`] — a hermetic worker pool (`std::thread` + channels):
 //!   bounded admission queue, deadline-aware load shedding fed by an
 //!   observed service-time EWMA, one job per worker pop, per-request

@@ -1,6 +1,7 @@
-//! Golden equivalence: `FrozenModel` must reproduce the graph eval
-//! path **bit-for-bit** — same items, same score bits — for every
-//! serving mode. A frozen snapshot is a speedup, never an
+//! Golden equivalence: `FrozenModel` must reproduce the un-frozen eval
+//! path (`GroupSa::recommend_for_*`, which core's tests pin to the
+//! training tape) **bit-for-bit** — same items, same score bits — for
+//! every serving mode. A frozen snapshot is a speedup, never an
 //! approximation.
 
 use groupsa_core::{DataContext, GroupMode, GroupSa, GroupSaConfig, Recommendation, ScoreAggregation};

@@ -37,11 +37,6 @@ pub trait Forward<'p> {
     /// A handle to an intermediate value.
     type Value;
 
-    /// Whether this evaluator records a tape for backward. Layers time
-    /// their calls only when it is set, so eager serving passes (γ once
-    /// per candidate item) never read the clock.
-    const TAPE: bool;
-
     /// The current value of `x`.
     fn value<'a>(&'a self, x: &'a Self::Value) -> &'a Matrix;
 
@@ -134,7 +129,6 @@ pub struct Eager;
 
 impl<'p> Forward<'p> for Eager {
     type Value = Cow<'p, Matrix>;
-    const TAPE: bool = false;
 
     fn value<'a>(&'a self, x: &'a Cow<'p, Matrix>) -> &'a Matrix {
         x

@@ -363,7 +363,6 @@ impl Graph {
 
 impl<'p> Forward<'p> for Graph {
     type Value = NodeId;
-    const TAPE: bool = true;
 
     fn value<'a>(&'a self, x: &'a NodeId) -> &'a Matrix {
         Graph::value(self, *x)

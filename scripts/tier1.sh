@@ -197,7 +197,7 @@ if [ "$digest1" != "$digest_traced" ]; then
     echo "  traced:   $digest_traced" >&2
     exit 1
 fi
-./target/release/trace_check "$trace_dir/train_trace.jsonl" run span epoch window metrics
+./target/release/trace_check "$trace_dir/train_trace.jsonl" run span epoch window
 echo "tier1: traced training digest matches untraced; trace is schema-valid"
 
 status_after="$(tree_status)"
